@@ -7,18 +7,17 @@ with pytest-benchmark.  Run with::
     pytest benchmarks/ --benchmark-only
 
 The table tests execute through :class:`repro.bench.BenchmarkRunner`, so
-each run also refreshes the machine-readable ``BENCH_E*.json`` artifacts
-(written to the repository root, or ``$BENCH_OUT_DIR`` when set) — the
-printed tables and the persisted perf trajectory come from one code path.
+each run also writes the machine-readable ``BENCH_E*.json`` artifacts —
+the printed tables and the persisted perf trajectory come from one code
+path.  They go to ``$BENCH_OUT_DIR`` when set, else to a per-session temp
+dir, so a plain test run never rewrites the committed artifacts; refresh
+those with ``BENCH_OUT_DIR=. pytest benchmarks/``.
 """
 import os
-import pathlib
 
 import pytest
 
 from repro.bench import BenchmarkRunner
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def pytest_collection_modifyitems(items):
@@ -36,12 +35,12 @@ def report():
 
 
 @pytest.fixture(scope="session")
-def bench():
+def bench(tmp_path_factory):
     """Session-wide benchmark runner persisting the BENCH_E*.json trajectory.
 
     ``BENCH_REPEAT=N`` takes best-of-N wall-clock per cell (how the
     committed ``BENCH_SCALING.json`` figures were captured); the default
     single sample keeps the smoke pass fast.
     """
-    out_dir = os.environ.get("BENCH_OUT_DIR", str(REPO_ROOT))
+    out_dir = os.environ.get("BENCH_OUT_DIR") or str(tmp_path_factory.mktemp("bench"))
     return BenchmarkRunner(out_dir=out_dir, repeat=int(os.environ.get("BENCH_REPEAT", "1")))

@@ -29,9 +29,12 @@ front end that *accepts traffic*.  This package turns
   (``POST /v1/solve`` single + batch, ``GET /v1/jobs/{id}``, ``/healthz``,
   ``/metrics``) with queue-full → 429 / draining → 503 / shed → 504 error
   mapping, plus the blocking :class:`HttpServiceClient`;
-* :mod:`~repro.serving.replicas` — :class:`ReplicaSet`: N replicas behind
-  one submission surface with compat-key-affine (rendezvous) placement,
-  least-loaded spill, and health-gated ejection;
+* :mod:`~repro.serving.replicas` — :class:`ReplicaSet`, the one replica
+  fleet: N slots behind one submission surface with compat-key-affine
+  (rendezvous) placement, least-loaded spill, health-gated ejection,
+  exactly-once re-homing and parking of a dead replica's orphans, the
+  scale seam and the lifecycle event log; what differs per deployment is
+  its *slot source* (in-process services by default);
 * :mod:`~repro.serving.handles` — the replica seam: the
   :class:`ReplicaHandle` protocol every slot satisfies, and
   :class:`ProcessReplicaHandle`, its socket-backed implementation proxying
@@ -40,19 +43,20 @@ front end that *accepts traffic*.  This package turns
   transport (same wire payloads, multiplexed over one connection with
   server push and heartbeats) served next to HTTP on one sniffing port:
   :class:`FramedIngress` / :class:`FramedServiceClient`;
-* :mod:`~repro.serving.supervisor` — :class:`ReplicaSupervisor`: replicas
-  as supervised OS processes — spawn, heartbeat-watch, crash-restart with
-  exponential backoff, and zero-lost-job re-homing of orphaned work;
+* :mod:`~repro.serving.supervisor` — :class:`ReplicaSupervisor`: a fleet
+  over the *spawn* slot source — each slot a supervised OS process,
+  heartbeat-watched and restarted with exponential backoff;
 * :mod:`~repro.serving.policy` — the unified :class:`FailurePolicy`
   (timeouts, :class:`BackoffPolicy` retry/reconnect schedules, a
   :class:`CircuitBreaker` per peer, and :class:`GrayFailureDetector`
   latency-EWMA gating) shared by every client and replica handle;
 * :mod:`~repro.serving.handles` (again) — :class:`RemoteReplicaHandle`:
   the cross-host sibling of :class:`ProcessReplicaHandle`, dialing
-  ``host:port`` over the framed transport with reconnect-and-re-home;
-* :mod:`~repro.serving.remote` — :class:`RemoteReplicaFleet`: N remote
-  hosts behind the one submission surface, with orphan re-homing,
-  parked-work replay on reconnect, and a structured fleet event log;
+  ``host:port`` over the framed transport and reconnecting itself;
+* :mod:`~repro.serving.remote` — :class:`RemoteReplicaFleet`: a fleet
+  over the *dial* slot source — each slot a configured remote host,
+  scaled within the address list — plus :class:`RemoteServiceBackend`,
+  one remote host behind the single-service surface;
 * :mod:`~repro.serving.chaos` — seeded, deterministic fault injection:
   :class:`ChaosTcpProxy` / :class:`ChaosSocket` replaying named
   schedules of latency, resets, partial writes, frame corruption,

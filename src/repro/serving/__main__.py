@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--supervisor-log", default=None, metavar="PATH",
-        help="append supervisor/fleet lifecycle events as JSON lines to PATH",
+        help="append replica-pool lifecycle and scale events as JSON lines to PATH",
     )
     net.add_argument(
         "--replica-worker", action="store_true",
@@ -378,17 +378,16 @@ def serve_http(args, say) -> int:
         say(f"[repro.serving] replica supervisor: {backend.num_replicas} "
             f"process(es) x {args.workers} {args.backend} worker(s)")
     elif auto_scale or args.replicas > 1:
-        backend = ReplicaSet(start_replicas, seed=args.seed, **service_kwargs)
+        backend = ReplicaSet(start_replicas, seed=args.seed,
+                             event_log=args.supervisor_log, **service_kwargs)
         say(f"[repro.serving] replica set: {start_replicas} x {args.workers} "
             f"{args.backend} worker(s)")
     else:
         backend = SolveService(seed=args.seed, **service_kwargs)
 
     controller = None
-    scale_recorder = None
     if auto_scale:
         from .autoscale import AutoscalingPolicy, CapacityModel, PoolController
-        from .events import EventRecorder
 
         max_replicas = args.max_replicas
         if remote_addresses:
@@ -408,17 +407,9 @@ def serve_http(args, say) -> int:
             say(f"[repro.serving] capacity model from {args.capacity_model}: "
                 f"{knees} (feed-forward at headroom "
                 f"{policy.prediction_headroom:g})")
-        recorder = getattr(backend, "recorder", None)
-        if recorder is None:
-            # A plain in-process ReplicaSet has no lifecycle log of its
-            # own; give the controller one so scale decisions still land
-            # in --supervisor-log.
-            scale_recorder = EventRecorder(args.supervisor_log)
-            scale_recorder.open()
-            recorder = scale_recorder
         controller = PoolController(
             backend, policy, capacity_model=capacity_model,
-            recorder=recorder, interval=args.scale_interval,
+            recorder=backend.recorder, interval=args.scale_interval,
         ).start()
         say(f"[repro.serving] pool controller: {policy.min_replicas}.."
             f"{policy.max_replicas} replicas, tick {args.scale_interval:g}s"
@@ -446,8 +437,6 @@ def serve_http(args, say) -> int:
             controller.stop()
         backend.shutdown(drain=True)
         ingress.close()
-        if scale_recorder is not None:
-            scale_recorder.close()
     say("[repro.serving] stopped")
     return 0
 

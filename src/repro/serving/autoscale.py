@@ -2,13 +2,12 @@
 
 :class:`PoolController` closes the loop between the serving tier's rolling
 signals (queue depth, in-flight occupancy, p99 latency vs. SLO) and the
-dynamic pool seam every replica owner exposes — ``scale_up()`` /
-``scale_down()`` / ``active_replicas`` — so the same controller grows and
-shrinks in-process :class:`~repro.serving.replicas.ReplicaSet` pools,
-supervised child processes
-(:class:`~repro.serving.supervisor.ReplicaSupervisor`), and cross-host
-fleets (:class:`~repro.serving.remote.RemoteReplicaFleet`) without caring
-which it is driving.
+dynamic pool seam of :class:`~repro.serving.replicas.ReplicaSet` —
+``scale_up()`` / ``scale_down()`` / ``active_replicas`` — so the same
+controller grows and shrinks a pool whatever its slot source: in-process
+services, spawned child processes
+(:class:`~repro.serving.supervisor.ReplicaSupervisor`), or dialed hosts
+(:class:`~repro.serving.remote.RemoteReplicaFleet`).
 
 The control loop is deliberately boring — this is a place for
 predictability, not cleverness:
@@ -236,8 +235,10 @@ class CapacityModel:
         ``headroom`` is the fraction of a pool's knee the controller is
         willing to run it at (0.8 = plan to sit at 80% of the measured
         knee), so the required knee is ``offered_rps / headroom``.  When
-        no measured pool covers the rate, returns the largest measured
-        pool — the best the model can honestly recommend.
+        no measured pool covers the rate, returns the pool with the
+        highest measured knee (the largest such pool on ties) — past the
+        measured envelope, the pool that sustained the most is the best
+        the model can honestly recommend.
         """
         if not (0.0 < headroom <= 1.0):
             raise ValueError(f"headroom must be in (0, 1], got {headroom}")
@@ -247,7 +248,7 @@ class CapacityModel:
         for replicas, knee in self.knees:
             if knee >= required:
                 return replicas
-        return self.max_known_pool
+        return max(self.knees, key=lambda pair: (pair[1], pair[0]))[0]
 
 
 @dataclass

@@ -747,7 +747,6 @@ def run_step_load(
     throughout: every admitted request settles (``lost`` must be 0).
     """
     from .autoscale import AutoscalingPolicy, PoolController
-    from .events import EventRecorder
     from .replicas import ReplicaSet
 
     if mode not in ("predictive", "reactive"):
@@ -771,7 +770,6 @@ def run_step_load(
         queue_capacity=queue_capacity,
         default_algorithm=algorithm,
     )
-    recorder = EventRecorder()
     policy = AutoscalingPolicy(
         min_replicas=min_replicas,
         max_replicas=max_replicas,
@@ -782,7 +780,7 @@ def run_step_load(
         backend,
         policy,
         capacity_model=capacity_model if mode == "predictive" else None,
-        recorder=recorder,
+        recorder=backend.recorder,
         interval=tick_interval,
     )
 
@@ -896,7 +894,7 @@ def run_step_load(
     with lock:
         num_failed = failed[0]
         num_settled = settled[0]
-    ups = [e for e in recorder.events() if e["event"] == "scale_up"]
+    ups = [e for e in backend.events() if e["event"] == "scale_up"]
     return {
         "mode": mode,
         "base_rps": round(float(base_rps), 1),

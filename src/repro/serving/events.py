@@ -1,18 +1,17 @@
-"""Structured lifecycle events shared by replica owners.
+"""Structured lifecycle events of the replica fleet.
 
-Both :class:`~repro.serving.supervisor.ReplicaSupervisor` (process
-replicas) and :class:`~repro.serving.remote.RemoteReplicaFleet` (remote
-hosts) narrate their lifecycle — spawns/connects, deaths, re-homing,
-restarts/reconnects, breaker transitions — as structured events.  This
-module holds the one recorder both use, so the event schema stays
-identical across deployment shapes and CI can collect either log with
-the same tooling.
+A :class:`~repro.serving.replicas.ReplicaSet` narrates its lifecycle —
+spawns/connects, deaths, re-homing, restarts/reconnects, breaker
+transitions — as structured events through one :class:`EventRecorder`,
+whichever slot source (spawn, dial) fills its slots, so the schema is
+identical across deployment shapes and CI collects every log with the
+same tooling.
 
 An event is a flat JSON-able dict::
 
     {"ts": <unix seconds>, "event": "<kind>", "replica": <id>, ...fields}
 
-Known kinds (the union across owners): ``spawn``, ``connect``,
+Known kinds (the union across slot sources): ``spawn``, ``connect``,
 ``death``, ``rehome``, ``rehome_failed``, ``orphans_parked``,
 ``restart_scheduled``, ``restarted``, ``reconnected``,
 ``heartbeat_stall``, ``breaker_open``, ``breaker_closed``,

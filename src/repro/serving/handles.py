@@ -17,11 +17,12 @@ implementations exist:
   pointed at a *configured address* instead of a supervised child: on
   connection loss it hands orphans to ``on_death`` (exactly-once
   re-homing) and then runs a reconnect loop with capped jittered
-  backoff, because a remote host the parent did not spawn may come back;
-* :class:`~repro.serving.supervisor.ReplicaSupervisor` — not a handle
-  per-replica but the owner of many ``ProcessReplicaHandle``\\ s: it
-  spawns ``repro-serve --replica-worker`` children, watches their
-  heartbeats, and restarts crashed ones with zero-lost-job re-homing.
+  backoff, because a remote host the parent did not spawn may come back.
+
+The two wire handles are what the spawn and dial slot sources
+(:mod:`repro.serving.supervisor`, :mod:`repro.serving.remote`) put into a
+:class:`~repro.serving.replicas.ReplicaSet`; their ``on_death`` orphans
+go to the set, which alone re-homes, parks or settles them.
 
 Both wire handles consume a :class:`~repro.serving.policy.FailurePolicy`:
 a per-replica circuit breaker (consecutive transport failures open it;
@@ -142,9 +143,9 @@ class ProcessReplicaHandle:
 
     When the connection dies (child crash, kill -9), every unanswered job
     becomes an *orphan* handed to the ``on_death`` callback — the
-    supervisor re-homes them through the replica set, settling these same
-    futures, so callers blocked on ``result()`` or registered via
-    ``on_response()`` never observe the death.  Without an ``on_death``
+    replica set re-homes them, settling these same futures, so callers
+    blocked on ``result()`` or registered via ``on_response()`` never
+    observe the death.  Without an ``on_death``
     callback, orphans settle as ``JobStatus.FAILED``.
     """
 
@@ -169,8 +170,6 @@ class ProcessReplicaHandle:
         self.pid: Optional[int] = None
         #: Times this replica slot has been restarted (supervisor-owned).
         self.restarts = 0
-        #: Supervisor hook replacing :meth:`shutdown`'s default behaviour.
-        self.terminate: Optional[Callable[..., None]] = None
         self.heartbeat_interval = float(heartbeat_interval)
         if not 0.001 <= self.heartbeat_interval <= 60.0:
             raise ValueError(
@@ -316,25 +315,33 @@ class ProcessReplicaHandle:
             # same id would be resubmitted twice (caller retry + re-homing)
             # and the two registrations would clobber each other on the
             # surviving replica, losing the answer.
-            self._futures[request_id] = future
+            #
+            # A job re-homed onto the handle that orphaned it (its host
+            # reconnected) keeps the future its submitter already holds.
+            held = self._futures.get(request_id)
+            keep = held is not None and not held.done()
+            if keep:
+                future = held
+            else:
+                self._futures[request_id] = future
         client = self._client
         submitted_at = time.monotonic()
         try:
             client.submit_push(wire.encode_request(request), _deliver)
         except (ConnectionError, OSError) as exc:
             self._breaker.record_failure()
-            self._forget(request_id)
+            self._forget(request_id, keep)
             raise ServiceShutdownError(
                 f"replica {self.replica_id} connection lost: {exc}"
             ) from exc
         except ServiceError:
             # The replica answered (e.g. queue-full): responsive, not broken.
             self._breaker.record_success()
-            self._forget(request_id)
+            self._forget(request_id, keep)
             raise
         except BaseException:
             self._breaker.record_failure()
-            self._forget(request_id)
+            self._forget(request_id, keep)
             raise
         dead_in_flight = False
         early_settled = False
@@ -348,7 +355,8 @@ class ProcessReplicaHandle:
                 # The connection died during the round trip.  _abandon ran
                 # while this submit was uncommitted, so nobody re-homes it:
                 # hand the retry to the caller instead of losing the job.
-                self._futures.pop(request_id, None)
+                if not keep:
+                    self._futures.pop(request_id, None)
                 dead_in_flight = True
             else:
                 self._pending[request_id] = request
@@ -363,9 +371,10 @@ class ProcessReplicaHandle:
             )
         return request_id
 
-    def _forget(self, request_id: int) -> None:
+    def _forget(self, request_id: int, keep_future: bool = False) -> None:
         with self._lock:
-            self._futures.pop(request_id, None)
+            if not keep_future:
+                self._futures.pop(request_id, None)
             self._pending.pop(request_id, None)
             self._submitted_at.pop(request_id, None)
 
@@ -560,12 +569,7 @@ class ProcessReplicaHandle:
             return False
 
     def shutdown(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the replica.  Under a supervisor, ``terminate`` owns the
-        child's lifecycle (SIGTERM-drain / SIGKILL); standalone handles
-        drain remotely and close the connection."""
-        if self.terminate is not None:
-            self.terminate(drain=drain, timeout=timeout)
-            return
+        """Stop the replica: drain it remotely, then close the connection."""
         if drain and self.live:
             self.drain(timeout)
         self.close()
@@ -626,7 +630,9 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
       keeps dialing the address with capped jittered backoff
       (``policy.reconnect_backoff``).  A successful dial resets the
       circuit breaker and fires ``on_reconnect(handle)`` so the owner can
-      restore the slot in placement.
+      restore the slot in placement; exhausting
+      ``policy.max_reconnect_attempts`` reports ``gave_up`` through
+      ``on_health_event``.
     * **A blackhole watchdog.**  A dead TCP peer errors out quickly, but
       a *partitioned* one just goes silent while the connection looks
       healthy.  When no heartbeat lands for ``dead_after`` seconds
@@ -650,7 +656,6 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
         on_health_event: Optional[Callable[["ProcessReplicaHandle", str], None]] = None,
         auth_secret: Optional[str] = None,
         policy: Optional[FailurePolicy] = None,
-        reconnect: bool = True,
     ) -> None:
         host, port = parse_address(address)
         interval = float(heartbeat_interval)
@@ -682,7 +687,6 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
         self.dead_after = resolved_dead
         self._dial_timeout = min(float(dial_timeout), self.request_timeout)
         self._on_reconnect = on_reconnect
-        self._reconnect_enabled = bool(reconnect)
         self._dial_attempts = 0
         self._next_dial_at = 0.0
         self._gave_up = False
@@ -693,11 +697,6 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
             daemon=True,
         )
         self._monitor_thread.start()
-
-    @property
-    def gave_up(self) -> bool:
-        """True when ``policy.max_reconnect_attempts`` was exhausted."""
-        return self._gave_up
 
     @property
     def reconnect_attempts(self) -> int:
@@ -713,7 +712,7 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
                     # re-home now instead of hanging until timeout.
                     self.mark_lost()
                 continue
-            if not self._reconnect_enabled or self._gave_up:
+            if self._gave_up:
                 continue
             if time.monotonic() < self._next_dial_at:
                 continue
@@ -726,6 +725,7 @@ class RemoteReplicaHandle(ProcessReplicaHandle):
                 limit = self.policy.max_reconnect_attempts
                 if limit is not None and self._dial_attempts >= limit:
                     self._gave_up = True
+                    self._emit_health("gave_up")
                     continue
                 delay = self.policy.reconnect_backoff.delay(attempt, rng=self._rng)
                 self._next_dial_at = time.monotonic() + delay

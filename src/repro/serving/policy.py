@@ -5,8 +5,9 @@ primitives in this module instead of growing its own ad-hoc math:
 
 ``BackoffPolicy``
     The single exponential-backoff implementation.  ``ServiceClientBase``
-    uses it for 429 retry pacing, ``ReplicaSupervisor`` for restart
-    scheduling, and ``RemoteReplicaHandle`` for reconnect pacing.  The
+    uses it for 429 retry pacing, the spawn slot source (``SpawnSource``)
+    for restart scheduling, and ``RemoteReplicaHandle`` for reconnect
+    pacing.  The
     delay for attempt *k* (0-based) is::
 
         delay = min(cap, base * multiplier ** k)

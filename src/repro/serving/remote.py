@@ -1,32 +1,28 @@
-"""Cross-host replica fleet: configured addresses, reconnect, re-home.
+"""The dial slot source: replicas at configured ``host:port`` addresses.
 
-A :class:`RemoteReplicaFleet` is the cross-host twin of
-:class:`~repro.serving.supervisor.ReplicaSupervisor`: it presents N
-replicas behind the exact :class:`~repro.serving.replicas.ReplicaSet`
-backend surface, but the replicas live at *configured addresses*
-(``host:port`` over the framed transport) instead of being child
-processes the parent spawned.  That one difference reshapes the whole
-lifecycle:
+A :class:`RemoteReplicaFleet` is a :class:`~repro.serving.replicas.ReplicaSet`
+whose :class:`DialSource` fills slot ``i`` with a
+:class:`~repro.serving.handles.RemoteReplicaHandle` dialing the ``i``-th
+configured address over the framed transport.  Re-homing and parking of
+a dead host's orphans, scaling and the event log all belong to the set;
+what a remote host changes is confined to the handle and this source:
 
 * **No spawn, no respawn.**  The fleet cannot fork a replacement when a
-  host dies; each slot's :class:`~repro.serving.handles.RemoteReplicaHandle`
-  keeps *re-dialing* its address with capped jittered backoff
-  (``policy.reconnect_backoff``) until the host answers again or
-  ``policy.max_reconnect_attempts`` is exhausted.
+  host dies; the handle keeps *re-dialing* its address with capped
+  jittered backoff (``policy.reconnect_backoff``) until the host answers
+  again (``reconnected``: parked orphans replay) or
+  ``policy.max_reconnect_attempts`` is exhausted (``gave_up``).
 * **Death is ambiguous.**  A crashed host resets the TCP connection, but
   a partitioned one just goes silent — the handle's ``dead_after``
   watchdog converts silence into a death so in-flight work re-homes
   instead of hanging.
-* **Re-homing is identical.**  Orphans of a dead host are resubmitted to
-  surviving hosts with the same request id and settle the original
-  future — exactly-once semantics survive host death the same way they
-  survive child death under the supervisor.  Orphans nobody can take are
-  *parked* and re-homed when a host reconnects.
+* **Scaling stays within the address list.**  Scale-down deactivates a
+  host — out of placement and re-homing, connection kept warm — and
+  scale-up reactivates it without a re-dial.
 
-Lifecycle events (``connect``, ``death``, ``rehome``, ``rehome_failed``,
-``orphans_parked``, ``reconnected``, ``breaker_open``/``breaker_closed``,
-``gray_degraded``/``gray_recovered``, ``gave_up``, ``shutdown``) share
-the supervisor's schema via :class:`~repro.serving.events.EventRecorder`.
+The source's own events are ``connect``, ``reconnected``, ``gave_up`` and
+the handle's breaker/gray transitions, each carrying the host's
+``address``; see :mod:`repro.serving.events` for the whole schema.
 
 :class:`RemoteServiceBackend` is the single-host degenerate case: one
 remote handle adapted to the *single-service* backend surface so an
@@ -38,10 +34,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ServiceError, ServiceShutdownError
-from .events import EventRecorder
 from .framing import FramedServiceClient
 from .handles import Orphan, RemoteReplicaHandle, liveness_row
 from .metrics import ServiceMetrics
@@ -49,16 +44,99 @@ from .policy import FailurePolicy
 from .replicas import ReplicaSet
 from .requests import JobStatus, SolveRequest, SolveResponse
 
-__all__ = ["RemoteReplicaFleet", "RemoteServiceBackend"]
+__all__ = ["DialSource", "RemoteReplicaFleet", "RemoteServiceBackend"]
 
 
-class RemoteReplicaFleet:
-    """N remote hosts behind the :class:`ReplicaSet` backend surface.
+class DialSource:
+    """Slot source dialing one configured address per slot.
+
+    ``policy`` governs timeouts, reconnect backoff, circuit breaking and
+    gray-failure detection for every handle.  The address list is fixed,
+    so scaled-down slots stay as warm spares (``keeps_spares``).
+    """
+
+    keeps_spares = True
+
+    def __init__(
+        self,
+        addresses: List[str],
+        *,
+        heartbeat_interval: float = 0.05,
+        heartbeat_timeout: Optional[float] = None,
+        dead_after: Optional[float] = None,
+        request_timeout: float = 120.0,
+        dial_timeout: float = 10.0,
+        auth_secret: Optional[str] = None,
+        policy: Optional[FailurePolicy] = None,
+        shutdown_timeout: float = 30.0,
+    ) -> None:
+        if not addresses:
+            raise ValueError("a RemoteReplicaFleet needs at least one address")
+        self.addresses = [str(a) for a in addresses]
+        self.heartbeat_interval = float(heartbeat_interval)
+        self.heartbeat_timeout = (
+            float(heartbeat_timeout) if heartbeat_timeout is not None
+            else max(1.0, 20.0 * self.heartbeat_interval)
+        )
+        self.dead_after = dead_after
+        self.request_timeout = float(request_timeout)
+        self.dial_timeout = float(dial_timeout)
+        self.auth_secret = auth_secret
+        self.policy = policy or FailurePolicy(request_timeout=self.request_timeout)
+        self.shutdown_timeout = float(shutdown_timeout)
+
+    def open(self, fleet: ReplicaSet, replica_id: int) -> RemoteReplicaHandle:
+        """Dial slot ``replica_id``'s address."""
+        def _health(handle: RemoteReplicaHandle, kind: str) -> None:
+            if kind == "gave_up":
+                fleet.replica_gave_up(handle.replica_id, address=handle.address)
+            else:
+                fleet.record(kind, handle.replica_id, address=handle.address)
+
+        handle = RemoteReplicaHandle(
+            replica_id,
+            self.addresses[replica_id],
+            heartbeat_interval=self.heartbeat_interval,
+            stale_after=self.heartbeat_timeout,
+            dead_after=self.dead_after,
+            request_timeout=self.request_timeout,
+            dial_timeout=self.dial_timeout,
+            auth_secret=self.auth_secret,
+            policy=self.policy,
+            on_death=lambda h, orphans: fleet.replica_lost(h, orphans, address=h.address),
+            on_reconnect=lambda h: fleet.replica_back(
+                h.replica_id, "reconnected", address=h.address
+            ),
+            on_health_event=_health,
+        )
+        fleet.record("connect", replica_id, address=handle.address)
+        return handle
+
+    def close(self, handles: List[RemoteReplicaHandle], *, drain: bool,
+              timeout: Optional[float]) -> None:
+        """Disconnect from every host (the hosts themselves keep running).
+
+        A draining shutdown waits — up to ``shutdown_timeout`` — for
+        locally-submitted work to finish before dropping the connections,
+        so nothing the fleet accepted is cancelled.
+        """
+        budget = self.shutdown_timeout if timeout is None else float(timeout)
+        deadline = time.monotonic() + budget
+        while drain and time.monotonic() < deadline:
+            if not any(h.live and h.inflight > 0 for h in handles):
+                break
+            time.sleep(0.01)
+        for handle in handles:
+            handle.close()
+
+
+class RemoteReplicaFleet(ReplicaSet):
+    """N remote hosts: a :class:`ReplicaSet` over a :class:`DialSource`.
 
     ``addresses`` is the static replica list (``host:port`` strings, one
-    per slot).  Parameters mirror the supervisor's where they overlap;
-    ``policy`` governs timeouts, reconnect backoff, circuit breaking and
-    gray-failure detection for every handle in the fleet.
+    per slot).  Parameters mirror the set's where they overlap; the rest
+    configure the dial source.  Hosts are dialed at construction;
+    :meth:`start` returns the running fleet.
     """
 
     def __init__(
@@ -77,390 +155,24 @@ class RemoteReplicaFleet:
         shutdown_timeout: float = 30.0,
         event_log: Optional[str] = None,
     ) -> None:
-        if not addresses:
-            raise ValueError("a RemoteReplicaFleet needs at least one address")
-        self.addresses = [str(a) for a in addresses]
-        self.num_slots = len(self.addresses)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = (
-            float(heartbeat_timeout) if heartbeat_timeout is not None
-            else max(1.0, 20.0 * self.heartbeat_interval)
+        source = DialSource(
+            addresses,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            dead_after=dead_after,
+            request_timeout=request_timeout,
+            dial_timeout=dial_timeout,
+            auth_secret=auth_secret,
+            policy=policy,
+            shutdown_timeout=shutdown_timeout,
         )
-        self.dead_after = dead_after
-        self.request_timeout = float(request_timeout)
-        self.dial_timeout = float(dial_timeout)
-        self.auth_secret = auth_secret
-        self.policy = policy or FailurePolicy(request_timeout=self.request_timeout)
-        self.spill_inflight = spill_inflight
-        self.auto_eject_after = int(auto_eject_after)
-        self.shutdown_timeout = float(shutdown_timeout)
-        self._recorder = EventRecorder(event_log)
-        self._lock = threading.RLock()
-        self._handles: List[Optional[RemoteReplicaHandle]] = [None] * self.num_slots
-        self._set: Optional[ReplicaSet] = None
-        self._closing = False
-        self._started = False
-        #: Orphans no survivor would take — re-homed on the next reconnect.
-        self._parked: List[Tuple[int, SolveRequest, Any]] = []
-        #: Hosts taken out of rotation by :meth:`scale_down`.  The fleet
-        #: cannot fork capacity, so scaling happens *within* the configured
-        #: address list: deactivate a host (stop routing to it, keep the
-        #: connection warm) and reactivate it later.
-        self._deactivated: set = set()
-
-    # ------------------------------------------------------------------
-    # events
-    # ------------------------------------------------------------------
-    def _record(self, event: str, replica_id: Optional[int] = None, **fields: Any) -> None:
-        self._recorder.record(event, replica_id, **fields)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """Snapshot of every lifecycle event so far (oldest first)."""
-        return self._recorder.events()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "RemoteReplicaFleet":
-        """Dial every address, build the routing set."""
-        with self._lock:
-            if self._started:
-                raise ServiceError("fleet already started")
-            self._started = True
-        self._recorder.open()
-        try:
-            for replica_id, address in enumerate(self.addresses):
-                handle = RemoteReplicaHandle(
-                    replica_id,
-                    address,
-                    heartbeat_interval=self.heartbeat_interval,
-                    stale_after=self.heartbeat_timeout,
-                    dead_after=self.dead_after,
-                    request_timeout=self.request_timeout,
-                    dial_timeout=self.dial_timeout,
-                    auth_secret=self.auth_secret,
-                    policy=self.policy,
-                    on_death=self._host_connection_lost,
-                    on_reconnect=self._host_reconnected,
-                    on_health_event=self._health_event,
-                )
-                self._handles[replica_id] = handle
-                self._record("connect", replica_id, address=handle.address)
-        except BaseException:
-            for handle in self._handles:
-                if handle is not None:
-                    handle.close()
-            self._recorder.close()
-            raise
-        handles = list(self._handles)
-        self._set = ReplicaSet(
-            self.num_slots,
-            service_factory=lambda i: handles[i],
-            spill_inflight=self.spill_inflight,
-            auto_eject_after=self.auto_eject_after,
+        super().__init__(
+            len(source.addresses),
+            source=source,
+            spill_inflight=spill_inflight,
+            auto_eject_after=auto_eject_after,
+            event_log=event_log,
         )
-        return self
-
-    def shutdown(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Disconnect from every host (the hosts themselves keep running).
-
-        A draining shutdown waits — up to ``shutdown_timeout`` — for
-        locally-submitted work to finish before dropping the
-        connections, so nothing the fleet accepted is cancelled.
-        """
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-        budget = self.shutdown_timeout if timeout is None else float(timeout)
-        if drain:
-            deadline = time.monotonic() + budget
-            while time.monotonic() < deadline:
-                busy = any(
-                    h is not None and h.live and h.inflight > 0 for h in self._handles
-                )
-                if not busy:
-                    break
-                time.sleep(0.01)
-        for handle in self._handles:
-            if handle is not None:
-                handle.close()
-        with self._lock:
-            parked, self._parked = self._parked, []
-        for _, request, future in parked:
-            if not future.done():
-                future.set_result(SolveResponse(
-                    request_id=request.request_id,
-                    status=JobStatus.CANCELLED,
-                    algorithm=request.algorithm,
-                    error="fleet shut down before the job could be re-homed",
-                ))
-        self._record("shutdown", drained=bool(drain))
-        self._recorder.close()
-
-    def __enter__(self) -> "RemoteReplicaFleet":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(drain=exc_type is None)
-
-    # ------------------------------------------------------------------
-    # death handling / re-homing
-    # ------------------------------------------------------------------
-    def _host_connection_lost(
-        self, handle: RemoteReplicaHandle, orphans: List[Orphan]
-    ) -> None:
-        """Framed connection to a host dropped (crash, reset, partition)."""
-        with self._lock:
-            closing = self._closing
-        if closing:
-            self._fail_orphans(orphans, JobStatus.CANCELLED,
-                               "fleet shut down before the host answered")
-            return
-        self._record("death", handle.replica_id, address=handle.address,
-                     orphans=len(orphans))
-        parked = 0
-        parked_ids: List[int] = []
-        for request, future in orphans:
-            if self._rehome(handle.replica_id, request, future) == "parked":
-                parked += 1
-                parked_ids.append(request.request_id)
-        if parked:
-            self._record("orphans_parked", handle.replica_id, count=parked,
-                         request_ids=parked_ids)
-
-    def _rehome(self, from_replica: int, request: SolveRequest, future: Any) -> str:
-        """Resubmit one orphaned job to a surviving host.
-
-        Mirrors the supervisor's re-homing exactly: the job keeps its
-        request id, the surviving host's answer chains into the original
-        future, and when nobody can take it now but a host may reconnect,
-        the orphan is parked rather than failed.  Returns ``"rehomed"``,
-        ``"parked"`` or ``"failed"``.
-        """
-        def _settle(response: SolveResponse) -> None:
-            if not future.done():
-                future.set_result(response)
-
-        with self._lock:
-            candidates = [
-                h for h in self._handles
-                if h is not None and h.live
-                and h.replica_id not in self._deactivated
-            ]
-        candidates = [h for h in candidates if h.accepting]
-        candidates.sort(key=lambda h: (h.inflight, h.replica_id))
-        last_error: Optional[ServiceError] = None
-        for handle in candidates:
-            try:
-                handle.submit_request(request, block=False)
-            except ServiceError as exc:
-                last_error = exc
-                continue
-            handle.on_response(request.request_id, _settle)
-            self._record("rehome", from_replica, request_id=request.request_id,
-                         ok=True, to=handle.replica_id)
-            return "rehomed"
-        with self._lock:
-            reconnect_coming = not self._closing and any(
-                h is not None and not h.gave_up for h in self._handles
-            )
-            if reconnect_coming:
-                self._parked.append((from_replica, request, future))
-        if reconnect_coming:
-            return "parked"
-        self._record("rehome_failed", from_replica, request_id=request.request_id,
-                     error=str(last_error) if last_error else "no reachable host")
-        _settle(SolveResponse(
-            request_id=request.request_id,
-            status=JobStatus.FAILED,
-            algorithm=request.algorithm,
-            error="host died and no reachable host accepted the job"
-                  + (f": {last_error}" if last_error else ""),
-        ))
-        return "failed"
-
-    @staticmethod
-    def _fail_orphans(
-        orphans: List[Orphan], status: JobStatus, message: str
-    ) -> None:
-        for request, future in orphans:
-            if not future.done():
-                future.set_result(SolveResponse(
-                    request_id=request.request_id,
-                    status=status,
-                    algorithm=request.algorithm,
-                    error=message,
-                ))
-
-    def _host_reconnected(self, handle: RemoteReplicaHandle) -> None:
-        with self._lock:
-            if self._closing:
-                return
-        self._record("reconnected", handle.replica_id, address=handle.address)
-        with self._lock:
-            deactivated = handle.replica_id in self._deactivated
-        if self._set is not None and not deactivated:
-            try:
-                # Undo a routing auto-ejection; a *drained* host stays out,
-                # and so does one deactivated by scale-down.
-                self._set.restore(handle.replica_id)
-            except (ServiceError, KeyError):
-                pass
-        with self._lock:
-            parked, self._parked = self._parked, []
-        for from_replica, request, future in parked:
-            self._rehome(from_replica, request, future)
-
-    def _health_event(self, handle: Any, kind: str) -> None:
-        self._record(kind, handle.replica_id, address=getattr(handle, "address", None))
-
-    # ------------------------------------------------------------------
-    # the backend surface (delegation to the set)
-    # ------------------------------------------------------------------
-    def _require_set(self) -> ReplicaSet:
-        if self._set is None:
-            raise ServiceShutdownError("fleet not started")
-        return self._set
-
-    def submit_request(self, request: SolveRequest, *, block: bool = False,
-                       put_timeout: Optional[float] = None) -> int:
-        return self._require_set().submit_request(
-            request, block=block, put_timeout=put_timeout
-        )
-
-    def result(self, request_id: int, timeout: Optional[float] = None) -> SolveResponse:
-        return self._require_set().result(request_id, timeout=timeout)
-
-    def on_response(self, request_id: int, callback: Callable[[SolveResponse], None]) -> None:
-        self._require_set().on_response(request_id, callback)
-
-    def solve(self, function, initial_labels, *, timeout=None, **submit_kwargs) -> SolveResponse:
-        return self._require_set().solve(
-            function, initial_labels, timeout=timeout, **submit_kwargs
-        )
-
-    @property
-    def accepting(self) -> bool:
-        return self._set is not None and not self._closing and self._set.accepting
-
-    @property
-    def inflight(self) -> int:
-        return 0 if self._set is None else self._set.inflight
-
-    @property
-    def queue_depth(self) -> int:
-        return 0 if self._set is None else self._set.queue_depth
-
-    @property
-    def num_replicas(self) -> int:
-        return self.num_slots
-
-    # ------------------------------------------------------------------
-    # scaling (within the configured host list)
-    # ------------------------------------------------------------------
-    @property
-    def active_replicas(self) -> int:
-        """Hosts currently in rotation (configured minus deactivated)."""
-        with self._lock:
-            return self.num_slots - len(self._deactivated)
-
-    @property
-    def recorder(self) -> EventRecorder:
-        return self._recorder
-
-    def estimated_drain_seconds(self) -> Optional[float]:
-        replica_set = self._require_set()
-        estimate = getattr(replica_set, "estimated_drain_seconds", None)
-        if not callable(estimate):
-            return None
-        try:
-            return estimate()
-        except Exception:  # noqa: BLE001 — an estimate is advisory
-            return None
-
-    def note_scale_decision(self, decision: Dict[str, Any]) -> None:
-        replica_set = self._require_set()
-        note = getattr(replica_set, "note_scale_decision", None)
-        if callable(note):
-            note(decision)
-
-    def scale_up(self) -> Optional[int]:
-        """Reactivate the lowest-id deactivated host, or ``None`` if every
-        configured host is already in rotation (the fleet cannot fork new
-        capacity — growth beyond the address list is a bound, not an error).
-        """
-        replica_set = self._require_set()
-        with self._lock:
-            candidates = sorted(self._deactivated)
-        for replica_id in candidates:
-            handle = self._handles[replica_id]
-            if handle is None or handle.gave_up:
-                continue
-            try:
-                replica_set.restore(replica_id)
-            except (ServiceError, KeyError):
-                continue  # host not answering right now; try the next one
-            with self._lock:
-                self._deactivated.discard(replica_id)
-            return replica_id
-        return None
-
-    def scale_down(
-        self,
-        replica_id: Optional[int] = None,
-        *,
-        on_drained: Optional[Callable[[int], None]] = None,
-    ) -> Optional[int]:
-        """Deactivate one host (youngest active unless ``replica_id`` says
-        otherwise) and return its id, or ``None`` when only one host would
-        remain in rotation.
-
-        The host itself keeps running and its connection stays warm —
-        deactivation only removes it from placement (``eject(drain=False)``),
-        so jobs already on it finish normally over the open connection and
-        :meth:`scale_up` can put it back without a re-dial.
-        """
-        replica_set = self._require_set()
-        with self._lock:
-            active = [
-                i for i in range(self.num_slots) if i not in self._deactivated
-            ]
-            if len(active) <= 1:
-                return None
-            victim = replica_id if replica_id is not None else active[-1]
-            if victim not in active:
-                raise ServiceError(f"replica {victim} is already deactivated")
-            self._deactivated.add(victim)
-        try:
-            replica_set.eject(victim, drain=False)
-        except BaseException:
-            with self._lock:
-                self._deactivated.discard(victim)
-            raise
-        if on_drained is not None:
-            on_drained(victim)
-        return victim
-
-    def metrics(self) -> ServiceMetrics:
-        metrics = self._require_set().metrics()
-        metrics.pool_size = self.active_replicas
-        return metrics
-
-    def replica_rows(self) -> List[Dict[str, object]]:
-        return self._require_set().replica_rows()
-
-    def eject(self, replica_id: int, *, drain: bool = True) -> None:
-        self._require_set().eject(replica_id, drain=drain)
-
-    def restore(self, replica_id: int) -> None:
-        self._require_set().restore(replica_id)
-        with self._lock:
-            # A manual admin restore also undoes a scale-down deactivation.
-            self._deactivated.discard(replica_id)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        return self._require_set().drain(timeout)
 
 
 class RemoteServiceBackend:

@@ -1,18 +1,26 @@
-"""Replicated shards behind one client-facing endpoint.
+"""The replica fleet: N slots behind one client-facing endpoint.
 
 A :class:`ReplicaSet` runs N replicas and routes every admitted request to
 exactly one of them, behind the same ``submit_request`` / ``result`` /
 ``on_response`` surface a single service exposes — so a transport (and the
 conformance suite) can sit in front of either without caring which it got.
 
-Each slot holds a :class:`~repro.serving.handles.ReplicaHandle` — an
-in-process :class:`~repro.serving.service.SolveService` by default, or a
-:class:`~repro.serving.handles.ProcessReplicaHandle` proxying a replica in
-another process (that is what :class:`~repro.serving.supervisor.ReplicaSupervisor`
-installs).  Placement reads only the handle's *advertised* health —
-``accepting`` / ``inflight`` / ``queue_depth`` — which for process
-replicas comes from wire heartbeats, so the routing logic is identical
-whether the replica shares this interpreter or lives across a socket.
+Each slot holds a :class:`~repro.serving.handles.ReplicaHandle` built by
+the set's *slot source*, the one thing that differs per deployment:
+
+* :class:`ServiceSource` (the default) builds in-process
+  :class:`~repro.serving.service.SolveService` replicas;
+* :class:`~repro.serving.supervisor.SpawnSource` spawns a
+  ``--replica-worker`` child per slot and restarts it when it dies
+  (:class:`~repro.serving.supervisor.ReplicaSupervisor`);
+* :class:`~repro.serving.remote.DialSource` dials one configured address
+  per slot through a handle that reconnects itself
+  (:class:`~repro.serving.remote.RemoteReplicaFleet`).
+
+Placement reads only the handle's *advertised* health —
+``accepting`` / ``inflight`` / ``queue_depth`` — which for wire handles
+comes from heartbeats, so the routing logic is identical whether the
+replica shares this interpreter or lives across a socket.
 
 Routing-aware admission
 -----------------------
@@ -40,21 +48,34 @@ Routing-aware admission
   background — its accepted requests still complete and are collected
   through the set, so ejection never loses or re-bills a job.
 
+Dead replicas
+-------------
+
+A wire handle whose connection drops hands the set its *orphans* — jobs
+it accepted but never answered.  The set alone decides their fate
+(:meth:`replica_lost`): each is resubmitted, under its own request id, to
+a live, accepting slot that has not been scaled down, and the original
+future settles when that slot answers — so callers never observe the
+death, and no job is lost or billed twice.  When no slot can take it now
+but some slot may still come back, the orphan is *parked* and replayed
+when a slot returns (:meth:`replica_back`); it settles ``FAILED`` once no
+slot can come back (:meth:`replica_gave_up`), and ``CANCELLED`` at
+shutdown.  Every transition lands in the set's
+:class:`~repro.serving.events.EventRecorder` (:meth:`events`).
+
 Dynamic pool
 ------------
 
-The slot list is **append-only**: :meth:`ReplicaSet.add_replica` (or
-:meth:`~ReplicaSet.scale_up`) appends a new slot, and
-:meth:`~ReplicaSet.retire_replica` (or :meth:`~ReplicaSet.scale_down`)
-turns an existing slot into a *tombstone* — out of placement immediately,
-drained in the background, its final counter snapshot frozen so the set's
-aggregate ledger keeps balancing after the handle closes.  Slots are never
-physically removed, so ``replica_id`` remains a stable index for routing,
-admin endpoints, and event logs.  The autoscaling controller
-(:mod:`repro.serving.autoscale`) drives these through the
-``scale_up`` / ``scale_down`` / ``active_replicas`` /
-``note_scale_decision`` seam, which the supervisor and remote fleet also
-implement for process-backed and cross-host pools.
+The slot list is **append-only**, so ``replica_id`` remains a stable
+index for routing, admin endpoints, and event logs.  :meth:`scale_up`
+appends a slot from the source; :meth:`scale_down` retires the youngest
+one, never the last that can serve — out of placement immediately,
+drained in the background, its final counter snapshot frozen so the
+aggregate ledger keeps balancing, and only then released to the source.  A source with a fixed slot list (dial)
+instead keeps a scaled-down slot as a warm *spare* that :meth:`scale_up`
+revives.  The autoscaling controller (:mod:`repro.serving.autoscale`)
+drives this through ``scale_up`` / ``scale_down`` / ``active_replicas`` /
+``note_scale_decision``.
 
 Request ids are unique across replicas (they come from one process-wide
 counter), so the set can keep a flat ``request_id -> replica`` routing map.
@@ -65,13 +86,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import QueueFullError, ReplicaUnavailableError, ServiceError, ServiceShutdownError
 from ..types import CostSummary
-from .handles import ReplicaHandle, liveness_row
+from .events import EventRecorder
+from .handles import Orphan, ReplicaHandle, liveness_row
 from .metrics import ServiceMetrics
-from .requests import SolveRequest, SolveResponse
+from .requests import JobStatus, SolveRequest, SolveResponse
 from .service import SolveService
 
 
@@ -83,7 +105,8 @@ class _Replica:
     service: ReplicaHandle
     healthy: bool = True
     ejected: bool = False
-    retired: bool = False          #: scaled down; slot is a tombstone
+    retired: bool = False          #: scaled down (a tombstone, or a warm spare)
+    gave_up: bool = False          #: dead, and its source will not bring it back
     routed: int = 0                #: requests this replica admitted
     consecutive_rejects: int = 0   #: admission failures since last success
     #: Aggregate-counter snapshot frozen when a retired replica finished
@@ -121,18 +144,66 @@ class _Replica:
         }
 
 
+class ServiceSource:
+    """The default slot source: one in-process :class:`SolveService` per slot.
+
+    A slot source is what a :class:`ReplicaSet` asks for replicas:
+
+    * ``open(fleet, replica_id)`` builds slot ``replica_id``'s handle.  A
+      handle that can die reports through the fleet's
+      :meth:`ReplicaSet.replica_lost` / :meth:`~ReplicaSet.replica_back` /
+      :meth:`~ReplicaSet.replica_gave_up` callbacks.
+    * ``release(replica_id, handle)`` stops a scaled-down slot's handle
+      once the set has drained it and frozen its counters (never called
+      when the source keeps spares).
+    * ``close(handles, drain=, timeout=)`` stops every live handle at
+      shutdown.
+    * ``keeps_spares`` — True when the slot list is fixed (dial): a
+      scaled-down slot is kept warm for :meth:`ReplicaSet.scale_up`
+      instead of being drained and released.
+
+    Replica ``i`` is seeded ``seed + 1000 * i`` so worker RNG streams stay
+    disjoint across replicas.
+    """
+
+    keeps_spares = False
+
+    def __init__(self, seed: int = 0, service_kwargs: Optional[Dict[str, Any]] = None) -> None:
+        self.seed = int(seed)
+        self.service_kwargs = dict(service_kwargs or {})
+
+    def open(self, fleet: "ReplicaSet", replica_id: int) -> SolveService:
+        return SolveService(seed=self.seed + 1000 * replica_id, **self.service_kwargs)
+
+    def release(self, replica_id: int, handle: ReplicaHandle) -> None:
+        handle.shutdown(drain=False)
+
+    def close(self, handles: List[ReplicaHandle], *, drain: bool,
+              timeout: Optional[float]) -> None:
+        def _stop(handle: ReplicaHandle) -> None:
+            try:
+                handle.shutdown(drain=drain, timeout=timeout)
+            except Exception:  # noqa: BLE001 — already-terminated handles
+                pass
+
+        threads = [threading.Thread(target=_stop, args=(h,), daemon=True) for h in handles]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+
 class ReplicaSet:
-    """N in-process service replicas behind one submission surface.
+    """N service replicas behind one submission surface.
 
     Parameters
     ----------
     replicas:
-        Number of replicas (>= 1).
-    service_factory:
-        ``callable(replica_id) -> ReplicaHandle`` building each replica;
-        when omitted, replicas are ``SolveService(**service_kwargs)`` with
-        ``seed`` offset per replica so worker RNG streams stay disjoint.
-        A supervisor passes a factory yielding process-backed handles.
+        Number of slots opened at construction (>= 1).
+    source:
+        The slot source (see :class:`ServiceSource`); when omitted,
+        replicas are in-process ``SolveService(**service_kwargs)`` with
+        ``seed`` offset per replica.
     spill_inflight:
         In-flight threshold beyond which the preferred (affinity) replica
         is considered hot and the request spills to the least-loaded one;
@@ -140,39 +211,57 @@ class ReplicaSet:
     auto_eject_after:
         Consecutive admission failures after which a replica is marked
         unhealthy and removed from placement (0 disables health gating).
+    event_log:
+        Optional JSONL path mirroring every lifecycle and scale event.
     service_kwargs:
-        Forwarded to :class:`SolveService` by the default factory.
+        Forwarded to :class:`SolveService` by the default source.
     """
 
     def __init__(
         self,
         replicas: int = 3,
         *,
-        service_factory: Optional[Callable[[int], ReplicaHandle]] = None,
+        source: Any = None,
         spill_inflight: Optional[int] = None,
         auto_eject_after: int = 3,
         seed: int = 0,
+        event_log: Optional[str] = None,
         **service_kwargs,
     ) -> None:
         if replicas < 1:
             raise ValueError("a ReplicaSet needs at least one replica")
-        if service_factory is None:
-            def service_factory(replica_id: int) -> SolveService:  # noqa: F811
-                # Disjoint seed blocks: replica i's workers draw from
-                # seeds seed + 1000*i + {0, 1, ...}.
-                return SolveService(seed=seed + 1000 * replica_id, **service_kwargs)
+        self._source = source if source is not None else ServiceSource(seed, service_kwargs)
         self._lock = threading.Lock()
-        self._scale_lock = threading.Lock()  # serialises add/retire, not routing
-        self._service_factory = service_factory
-        self._replicas = [
-            _Replica(i, service_factory(i)) for i in range(int(replicas))
-        ]
+        self._scale_lock = threading.Lock()  # serialises scale_up/scale_down, not routing
+        self._replicas: List[_Replica] = []
         self._routes: Dict[int, _Replica] = {}
         self.spill_inflight = spill_inflight
         self.auto_eject_after = int(auto_eject_after)
         self._drain_threads: List[threading.Thread] = []
         self._last_scale: Optional[Dict[str, object]] = None
+        #: Orphans no slot would take — replayed when a slot comes back.
+        self._parked: List[Tuple[int, SolveRequest, Any]] = []
         self._closed = False
+        self._recorder = EventRecorder(event_log)
+        self._recorder.open()
+        try:
+            for replica_id in range(int(replicas)):
+                handle = self._source.open(self, replica_id)
+                with self._lock:
+                    self._replicas.append(_Replica(replica_id, handle))
+        except BaseException:
+            self._source.close(
+                [r.service for r in self._replicas], drain=False, timeout=None
+            )
+            self._recorder.close()
+            raise
+
+    def start(self) -> "ReplicaSet":
+        """Return the set, which opened its slots at construction; raises
+        :class:`~repro.errors.ServiceError` after shutdown."""
+        if self._closed:
+            raise ServiceError("replica set is shut down")
+        return self
 
     # ------------------------------------------------------------------
     # placement
@@ -320,6 +409,156 @@ class ReplicaSet:
         return self.result(request_id, timeout=timeout)
 
     # ------------------------------------------------------------------
+    # events, and the slot-source callbacks for dead replicas
+    # ------------------------------------------------------------------
+    @property
+    def recorder(self) -> EventRecorder:
+        """The lifecycle recorder (a pool controller logs here too)."""
+        return self._recorder
+
+    def record(self, event: str, replica_id: Optional[int] = None, **fields: Any) -> None:
+        self._recorder.record(event, replica_id, **fields)
+
+    def events(self) -> List[Dict[str, Any]]:
+        """Snapshot of every lifecycle event so far (oldest first)."""
+        return self._recorder.events()
+
+    def replica_lost(self, handle: Any, orphans: List[Orphan], **fields: Any) -> bool:
+        """``handle``'s replica died with ``orphans`` unanswered.
+
+        Records ``death`` (with the source's ``fields``) and re-homes or
+        parks every orphan.  A death during shutdown, or the scheduled
+        exit of a released slot, settles the orphans ``CANCELLED``
+        instead.  Returns True when the source should bring the slot back.
+        """
+        replica = self._replica(handle.replica_id)
+        with self._lock:
+            expected = self._closed or replica.final_metrics is not None
+            retired = replica.retired
+        if expected:
+            self._fail_orphans(orphans, JobStatus.CANCELLED,
+                               "replica shut down before answering")
+            return False
+        self.record("death", replica.replica_id, **fields, orphans=len(orphans))
+        parked = [
+            request.request_id for request, future in orphans
+            if self._rehome(replica.replica_id, request, future) == "parked"
+        ]
+        if parked:
+            self.record("orphans_parked", replica.replica_id,
+                        count=len(parked), request_ids=parked)
+        return not retired
+
+    def replica_back(self, replica_id: int, event: str,
+                     handle: Optional[ReplicaHandle] = None, **fields: Any) -> bool:
+        """Slot ``replica_id`` serves again (``restarted`` / ``reconnected``).
+
+        Installs ``handle`` when the source built a new one, returns the
+        slot to placement (a warm spare stays out) and replays every
+        parked orphan.  A new handle gets a *new* ``_Replica``: existing
+        routes reference the old one, whose handle still owns their
+        futures, so in-flight collection keeps working.  Returns False,
+        installing nothing, once the set is shut down or when a new handle
+        would land in a scaled-down slot.
+        """
+        with self._lock:
+            old = self._replica(replica_id)
+            if self._closed or (handle is not None and old.retired):
+                return False
+            if handle is not None:
+                old.ejected = True
+                self._replicas[replica_id] = _Replica(replica_id, handle, routed=old.routed)
+            replica = self._replicas[replica_id]
+            if not replica.retired:
+                replica.ejected = False
+                replica.healthy = True
+                replica.consecutive_rejects = 0
+            parked, self._parked = self._parked, []
+        self.record(event, replica_id, **fields)
+        for from_replica, request, future in parked:
+            self._rehome(from_replica, request, future)
+        return True
+
+    def replica_gave_up(self, replica_id: int, **fields: Any) -> None:
+        """Slot ``replica_id``'s source will not bring it back.
+
+        Parked orphans are replayed: they settle ``FAILED`` if no slot can
+        come back any more.
+        """
+        with self._lock:
+            self._replica(replica_id).gave_up = True
+            parked, self._parked = self._parked, []
+        self.record("gave_up", replica_id, **fields)
+        for from_replica, request, future in parked:
+            self._rehome(from_replica, request, future)
+
+    def _rehome(self, from_replica: int, request: SolveRequest, future: Any) -> str:
+        """Resubmit one orphan to a live, accepting, not-scaled-down slot.
+
+        The job goes to the surviving handle *directly*, not through
+        placement: callers are already blocked on (or subscribed to) the
+        dead slot's future via the routing table, so the route must keep
+        pointing there — the new replica's answer chains back into that
+        original future.  The job keeps its request id, so the submitter
+        sees exactly one answer under its own id no matter how many
+        replicas die beneath it.  Placement ejection does not exclude a
+        slot: a routing decision must never strand an orphan.  A host that
+        reconnected may get its own orphan back: the handle the route
+        points at then adopts the future its submitter holds, and nothing
+        is chained onto it.
+
+        When no slot accepts, the orphan is parked while some slot may
+        still come back, and fails otherwise.  Returns ``"rehomed"``,
+        ``"parked"`` or ``"failed"``.
+        """
+        def _settle(response: SolveResponse) -> None:
+            if not future.done():
+                future.set_result(response)
+
+        with self._lock:
+            slots = [r for r in self._replicas if not r.retired]
+            route = self._routes.get(request.request_id)
+        candidates = sorted(
+            (r for r in slots if r.service.accepting),
+            key=lambda r: (r.service.inflight, r.replica_id),
+        )
+        last_error: Optional[ServiceError] = None
+        for replica in candidates:
+            try:
+                replica.service.submit_request(request, block=False)
+            except ServiceError as exc:
+                last_error = exc
+                continue
+            if route is None or replica.service is not route.service:
+                replica.service.on_response(request.request_id, _settle)
+            self.record("rehome", from_replica, request_id=request.request_id,
+                        ok=True, to=replica.replica_id)
+            return "rehomed"
+        with self._lock:
+            if not self._closed and any(not r.retired and not r.gave_up for r in self._replicas):
+                self._parked.append((from_replica, request, future))
+                return "parked"
+        self.record("rehome_failed", from_replica, request_id=request.request_id,
+                    error=str(last_error) if last_error else "no survivors")
+        self._fail_orphans(
+            [(request, future)], JobStatus.FAILED,
+            "replica died and no surviving replica accepted the job"
+            + (f": {last_error}" if last_error else ""),
+        )
+        return "failed"
+
+    @staticmethod
+    def _fail_orphans(orphans: List[Orphan], status: JobStatus, message: str) -> None:
+        for request, future in orphans:
+            if not future.done():
+                future.set_result(SolveResponse(
+                    request_id=request.request_id,
+                    status=status,
+                    algorithm=request.algorithm,
+                    error=message,
+                ))
+
+    # ------------------------------------------------------------------
     # health / operator surface
     # ------------------------------------------------------------------
     def eject(self, replica_id: int, *, drain: bool = True) -> None:
@@ -345,14 +584,15 @@ class ReplicaSet:
                 self._drain_threads.append(thread)
 
     def restore(self, replica_id: int) -> None:
-        """Return an ejected/unhealthy replica to placement.
+        """Return an ejected/unhealthy replica (or a warm spare) to placement.
 
         Only possible while the replica still accepts work — a drained
         replica has permanently stopped admission and raises
-        :class:`~repro.errors.ServiceError`.
+        :class:`~repro.errors.ServiceError`, as does a scaled-down slot
+        the source released.
         """
         replica = self._replica(replica_id)
-        if replica.retired:
+        if replica.retired and not self._source.keeps_spares:
             raise ServiceError(
                 f"replica {replica_id} was retired by scale-down and cannot be "
                 "restored; scale up to add a fresh replica instead"
@@ -363,7 +603,7 @@ class ReplicaSet:
                 "build a fresh replica instead"
             )
         with self._lock:
-            replica.ejected = False
+            replica.ejected = replica.retired = False
             replica.healthy = True
             replica.consecutive_rejects = 0
 
@@ -375,22 +615,9 @@ class ReplicaSet:
             )
         return self._replicas[replica_id]
 
-    def replace_handle(self, replica_id: int, handle: ReplicaHandle) -> None:
-        """Install a fresh handle in slot ``replica_id`` (replica restarted).
-
-        The slot gets a *new* ``_Replica`` object rather than mutating the
-        old one in place: existing routes reference the old ``_Replica``,
-        whose old handle still owns their futures (re-homing settles them),
-        so in-flight collection keeps working while new admissions flow to
-        the replacement.  The routed counter carries over so operator rows
-        stay cumulative per slot.
-        """
-        old = self._replica(replica_id)
-        with self._lock:
-            old.ejected = True
-            self._replicas[replica_id] = _Replica(
-                replica_id, handle, routed=old.routed
-            )
+    def handle(self, replica_id: int) -> ReplicaHandle:
+        """The handle currently serving slot ``replica_id``."""
+        return self._replica(replica_id).service
 
     def replica_rows(self) -> List[Dict[str, object]]:
         """Routing/health view, one row per slot (admin endpoint).
@@ -398,25 +625,24 @@ class ReplicaSet:
         Deliberately NOT under the set lock: ``as_row`` reads per-service
         state whose locks the shed-callback chain holds while waiting for
         the set lock (see :meth:`_placement_order`'s lock-order invariant).
-        The slot list is append-only (``replace_handle`` swaps a slot
-        atomically; scale-down tombstones a slot rather than removing it)
-        and the flag reads are atomic, so the rows are a consistent-enough
-        advisory snapshot.  Retired slots report their frozen terminal row.
+        The slot list is append-only (a restart swaps a slot atomically;
+        scale-down tombstones a slot rather than removing it) and the flag
+        reads are atomic, so the rows are a consistent-enough advisory
+        snapshot.  Retired slots report their frozen terminal row.
         """
         return [r.as_row() for r in list(self._replicas)]
 
     @property
     def num_replicas(self) -> int:
-        """Total slots ever created, including retired tombstones."""
+        """Total slots ever created, including retired ones."""
         return len(self._replicas)
 
     @property
     def active_replicas(self) -> int:
-        """Slots currently in placement (not ejected, not retired)."""
+        """Slots in the pool (not scaled down); an ejection is routing,
+        not pool size."""
         with self._lock:
-            return sum(
-                1 for r in self._replicas if not r.ejected and not r.retired
-            )
+            return sum(1 for r in self._replicas if not r.retired)
 
     @property
     def accepting(self) -> bool:
@@ -490,13 +716,12 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # dynamic pool (the autoscaling seam)
     # ------------------------------------------------------------------
-    def add_replica(self, handle: Optional[ReplicaHandle] = None) -> int:
-        """Append a new replica slot; returns its replica id.
+    def scale_up(self) -> Optional[int]:
+        """Autoscaler seam: grow the pool by one slot; returns its id.
 
-        Builds the replica with the set's ``service_factory`` unless a
-        ready ``handle`` is supplied (a supervisor passes the handle of a
-        child it already spawned).  The new replica enters placement
-        immediately.
+        Revives the lowest-id warm spare when the source keeps spares
+        (``None`` when none can serve), else appends a slot the source
+        opens, which enters placement immediately.
         """
         with self._scale_lock:
             with self._lock:
@@ -505,96 +730,62 @@ class ReplicaSet:
                         "replica set is shut down; cannot add a replica"
                     )
                 replica_id = len(self._replicas)
-            service = handle if handle is not None else self._service_factory(replica_id)
+                spares = [r.replica_id for r in self._replicas if r.retired and not r.gave_up]
+            if self._source.keeps_spares:
+                for spare in spares:
+                    try:
+                        self.restore(spare)
+                    except ServiceError:
+                        continue  # not answering right now; try the next one
+                    return spare
+                return None
+            handle = self._source.open(self, replica_id)
             with self._lock:
-                self._replicas.append(_Replica(replica_id, service))
+                self._replicas.append(_Replica(replica_id, handle))
             return replica_id
 
-    def retire_replica(
-        self,
-        replica_id: int,
-        *,
-        drain: bool = True,
-        on_drained: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Take a replica out of the pool permanently (scale-down).
+    def scale_down(self) -> Optional[int]:
+        """Autoscaler seam: retire one slot (drained, never dropped).
 
-        The slot leaves placement immediately but is never removed: its
-        in-flight work drains in the background, its final counter
-        snapshot is frozen into the slot (so aggregate metrics keep every
-        admitted job on the books), and only then is the handle released —
-        to ``on_drained`` when given (a supervisor terminates the child
-        there), otherwise via ``handle.shutdown``.  A retired replica can
-        never be restored; scale up instead.
-        """
-        replica = self._replica(replica_id)
-        with self._lock:
-            if replica.retired:
-                return
-            replica.retired = True
-            replica.ejected = True
-            replica.healthy = False
-
-        def _finish() -> None:
-            if drain:
-                replica.service.drain()
-            try:
-                final = replica.service.metrics()
-            except Exception:  # noqa: BLE001 — unreachable handle
-                final = ServiceMetrics.empty()
-            with self._lock:
-                replica.final_metrics = final
-            if on_drained is not None:
-                try:
-                    on_drained(replica_id)
-                except Exception:  # noqa: BLE001 — owner's teardown problem
-                    pass
-            else:
-                try:
-                    replica.service.shutdown(drain=False)
-                except Exception:  # noqa: BLE001
-                    pass
-
-        thread = threading.Thread(
-            target=_finish, name=f"repro-replica-retire-{replica_id}", daemon=True
-        )
-        thread.start()
-        with self._lock:
-            self._drain_threads.append(thread)
-
-    def scale_up(self) -> int:
-        """Autoscaler seam: add one replica, returns its id."""
-        return self.add_replica()
-
-    def scale_down(
-        self,
-        replica_id: Optional[int] = None,
-        *,
-        on_drained: Optional[Callable[[int], None]] = None,
-    ) -> Optional[int]:
-        """Autoscaler seam: retire one replica (drained, never dropped).
-
-        Picks the youngest active replica unless ``replica_id`` names one;
-        refuses (returns ``None``) rather than retire the last active
-        replica.
+        Picks the youngest slot still in the pool; refuses (returns
+        ``None``) when no other slot could serve afterwards — an ejected or
+        given-up slot still counts toward the pool size but takes no work.
+        The slot leaves placement immediately.  A warm spare keeps its
+        handle; otherwise the slot drains in the background, its final
+        counter snapshot is frozen (so aggregate metrics keep every
+        admitted job on the books), and only then is the handle released
+        to the source.  A released slot can never be restored.
         """
         with self._scale_lock:
             with self._lock:
-                active = [
-                    r for r in self._replicas if not r.ejected and not r.retired
-                ]
-            if len(active) <= 1:
-                return None
-            if replica_id is None:
-                victim = max(active, key=lambda r: r.replica_id)
-            else:
-                victim = next(
-                    (r for r in active if r.replica_id == replica_id), None
+                active = [r for r in self._replicas if not r.retired]
+                victim = active[-1]
+                if not any(not r.ejected and not r.gave_up for r in active[:-1]):
+                    return None
+                victim.retired = victim.ejected = True
+                victim.healthy = False
+            if not self._source.keeps_spares:
+                thread = threading.Thread(
+                    target=self._release, args=(victim,),
+                    name=f"repro-replica-retire-{victim.replica_id}", daemon=True,
                 )
-                if victim is None:
-                    raise KeyError(f"replica {replica_id} is not active")
-            self.retire_replica(victim.replica_id, on_drained=on_drained)
+                thread.start()
+                with self._lock:
+                    self._drain_threads.append(thread)
             return victim.replica_id
+
+    def _release(self, replica: _Replica) -> None:
+        replica.service.drain()
+        try:
+            final = replica.service.metrics()
+        except Exception:  # noqa: BLE001 — unreachable handle
+            final = ServiceMetrics.empty()
+        with self._lock:
+            replica.final_metrics = final
+        try:
+            self._source.release(replica.replica_id, replica.service)
+        except Exception:  # noqa: BLE001 — the source's teardown problem
+            pass
 
     def note_scale_decision(self, decision: Dict[str, object]) -> None:
         """Record the most recent autoscaling decision for ``/metrics``."""
@@ -683,9 +874,7 @@ class ReplicaSet:
                 for replica, snap in zip(replicas, snaps)
             ],
             priority_classes=classes,
-            pool_size=sum(
-                1 for r in replicas if not r.ejected and not r.retired
-            ),
+            pool_size=sum(1 for r in replicas if not r.retired),
             last_scale=last_scale,
         )
 
@@ -705,7 +894,8 @@ class ReplicaSet:
         return all(r.service.inflight == 0 for r in live)
 
     def shutdown(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut every replica down (drain semantics per replica)."""
+        """Stop every slot through its source (drain semantics per source),
+        then settle parked orphans ``CANCELLED``."""
         with self._lock:
             if self._closed:
                 return
@@ -713,22 +903,18 @@ class ReplicaSet:
             drain_threads = list(self._drain_threads)
         for thread in drain_threads:
             thread.join(timeout=timeout)
-
-        def _stop(svc: ReplicaHandle) -> None:
-            try:
-                svc.shutdown(drain=drain, timeout=timeout)
-            except Exception:  # noqa: BLE001 — already-terminated handles
-                pass
-
-        threads = [
-            threading.Thread(target=_stop, args=(r.service,), daemon=True)
-            for r in list(self._replicas)
-            if r.final_metrics is None
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        self._source.close(
+            [r.service for r in list(self._replicas) if r.final_metrics is None],
+            drain=drain, timeout=timeout,
+        )
+        with self._lock:
+            parked, self._parked = self._parked, []
+        self._fail_orphans(
+            [(request, future) for _, request, future in parked],
+            JobStatus.CANCELLED, "fleet shut down before the job could be re-homed",
+        )
+        self.record("shutdown", drained=bool(drain))
+        self._recorder.close()
 
     def __enter__(self) -> "ReplicaSet":
         return self

@@ -1,13 +1,13 @@
-"""Multi-process replica supervisor: spawn, watch, re-home, restart.
+"""The spawn slot source: replicas as supervised ``--replica-worker`` children.
 
-A :class:`ReplicaSupervisor` owns N ``repro-serve --replica-worker``
-child processes — each a full :class:`~repro.serving.service.SolveService`
-behind a :class:`~repro.serving.framing.FramedIngress` on a loopback port —
-and presents them to a transport as one backend with exactly the
-:class:`~repro.serving.replicas.ReplicaSet` surface (it *is* a replica set
-whose slots hold :class:`~repro.serving.handles.ProcessReplicaHandle`\\ s).
-
-What the supervisor adds over the set is a *lifecycle*:
+A :class:`ReplicaSupervisor` is a :class:`~repro.serving.replicas.ReplicaSet`
+whose :class:`SpawnSource` fills each slot with a ``repro-serve
+--replica-worker`` child process — a full
+:class:`~repro.serving.service.SolveService` behind a
+:class:`~repro.serving.framing.FramedIngress` on a loopback port — proxied
+by a :class:`~repro.serving.handles.ProcessReplicaHandle`.  Routing,
+re-homing and parking of a dead child's orphans, scaling and the event
+log all belong to the set; the source adds only the process lifecycle:
 
 * **Spawn** — children are started with disjoint seed blocks and announce
   their ephemeral port through a port file; the parent connects a framed
@@ -19,26 +19,16 @@ What the supervisor adds over the set is a *lifecycle*:
   ``heartbeat_timeout`` is killed so it re-enters the crash path.  In all
   three cases routing has already health-gated the replica out: a stale
   heartbeat reads as not-accepting before the supervisor reacts.
-* **Re-home** — every job the dead child had accepted but not answered is
-  resubmitted through the set to a surviving replica, and the *original*
-  parent-side future is settled when the new replica answers.  Callers
-  never observe the death: no job is lost and none is billed twice,
-  because re-homing reuses the same request (same id) and the dead child's
-  answer can no longer arrive.
-* **Restart** — crashed children are respawned with exponential backoff
-  (``restart_backoff * 2**(restarts-1)``, capped), up to ``max_restarts``
-  per slot; a slot that keeps dying is given up rather than allowed to
-  flap forever.  The replacement handle is installed with
-  :meth:`~repro.serving.replicas.ReplicaSet.replace_handle`, so in-flight
-  collection through the old slot keeps working.
+* **Restart** — a crashed child is reaped and respawned with exponential
+  backoff (``restart_backoff * 2**(restarts-1)``, capped), up to
+  ``max_restarts`` per slot; a slot that keeps dying is given up rather
+  than allowed to flap forever.
+* **Retire** — a scaled-down child gets SIGTERM only after the set has
+  drained it, so scale-down never loses an accepted job.
 
-Every transition is recorded as a structured event (``spawn``, ``death``,
-``rehome``, ``rehome_failed``, ``orphans_parked``, ``restart_scheduled``,
-``restarted``, ``heartbeat_stall``, ``breaker_open``/``breaker_closed``,
-``gave_up``, ``shutdown``) — queryable via :meth:`events` and optionally
-appended as JSON lines to ``event_log`` for CI artifacts.  The recorder
-(and the event schema) is shared with the cross-host
-:class:`~repro.serving.remote.RemoteReplicaFleet`.
+The source's own events are ``spawn``, ``heartbeat_stall``,
+``restart_scheduled``, ``restarted``, ``gave_up`` and ``child_exit``;
+see :mod:`repro.serving.events` for the whole schema.
 """
 
 from __future__ import annotations
@@ -51,16 +41,13 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from ..errors import ServiceError, ServiceShutdownError
-from .events import EventRecorder
+from ..errors import ServiceError
 from .handles import Orphan, ProcessReplicaHandle
-from .metrics import ServiceMetrics
 from .policy import BackoffPolicy
 from .replicas import ReplicaSet
-from .requests import JobStatus, SolveRequest, SolveResponse
 
 #: service_kwargs key -> the ``repro-serve`` flag that carries it to a child.
 _KWARG_FLAGS: Dict[str, str] = {
@@ -91,28 +78,332 @@ def _worker_argv(service_kwargs: Dict[str, Any]) -> List[str]:
     return argv
 
 
+def _reap(proc: subprocess.Popen) -> None:
+    """Collect a child's exit status and release its pipe."""
+    if proc.stdin is not None:
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+    try:
+        proc.wait(timeout=10.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+
+
 @dataclass
-class _Slot:
-    """One replica slot's process-lifecycle state (guarded by the lock)."""
+class _Child:
+    """One slot's process state (guarded by the source's lock)."""
 
     replica_id: int
     proc: Optional[subprocess.Popen] = None
     handle: Optional[ProcessReplicaHandle] = None
     restarts: int = 0
     restart_at: Optional[float] = None   #: monotonic instant of the next respawn
-    gave_up: bool = False
-    retired: bool = False                #: scaled down; never restarted
-    spawned: int = field(default=0)      #: total spawns (port-file nonce)
+    spawned: int = 0                     #: total spawns (port-file nonce)
 
 
-class ReplicaSupervisor:
-    """N replica processes behind the :class:`ReplicaSet` backend surface.
+class SpawnSource:
+    """Slot source spawning one ``--replica-worker`` child per slot.
 
-    Parameters mirror the set's where they overlap; the rest govern the
-    process lifecycle.  ``service_kwargs`` is forwarded to each child's
-    ``SolveService`` via CLI flags; ``seed`` offsets per replica exactly as
-    the in-process default factory does, so a process deployment draws the
-    same RANDOM-winner streams as its in-process twin.
+    ``service_kwargs`` reach each child's ``SolveService`` as CLI flags;
+    replica ``i`` is seeded ``seed + 1000 * i`` exactly as the in-process
+    source seeds it, so a process deployment draws the same RANDOM-winner
+    streams as an in-process one.
+    """
+
+    keeps_spares = False
+
+    def __init__(
+        self,
+        *,
+        service_kwargs: Optional[Dict[str, Any]] = None,
+        seed: int = 0,
+        host: str = "127.0.0.1",
+        heartbeat_interval: float = 0.05,
+        heartbeat_timeout: Optional[float] = None,
+        restart_backoff: float = 0.25,
+        restart_backoff_cap: float = 5.0,
+        max_restarts: int = 5,
+        spawn_timeout: float = 30.0,
+        shutdown_timeout: float = 30.0,
+    ) -> None:
+        self.service_kwargs = dict(service_kwargs or {})
+        _worker_argv(self.service_kwargs)  # validate keys before any spawn
+        self.seed = int(seed)
+        self.host = host
+        self.heartbeat_interval = float(heartbeat_interval)
+        if not 0.001 <= self.heartbeat_interval <= 60.0:
+            raise ValueError(
+                f"heartbeat_interval must be in [0.001, 60] seconds, "
+                f"got {self.heartbeat_interval}"
+            )
+        self.heartbeat_timeout = (
+            float(heartbeat_timeout) if heartbeat_timeout is not None
+            else max(1.0, 20.0 * self.heartbeat_interval)
+        )
+        if self.heartbeat_timeout <= self.heartbeat_interval:
+            raise ValueError(
+                f"heartbeat_timeout ({self.heartbeat_timeout}s) must exceed "
+                f"heartbeat_interval ({self.heartbeat_interval}s)"
+            )
+        #: One backoff curve for the whole restart schedule (jitter-free so
+        #: restart timing stays deterministic for the event-log tests).
+        self._restart_policy = BackoffPolicy(
+            base=float(restart_backoff), cap=float(restart_backoff_cap),
+            multiplier=2.0, jitter=0.0,
+        )
+        self.max_restarts = int(max_restarts)
+        self.spawn_timeout = float(spawn_timeout)
+        self.shutdown_timeout = float(shutdown_timeout)
+        self._lock = threading.RLock()
+        self._children: Dict[int, _Child] = {}
+        self._fleet: Optional[ReplicaSet] = None
+        self._monitor: Optional[threading.Thread] = None
+        self._stop = threading.Event()
+        self._closing = False
+        self._tmpdir: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    # the slot-source contract
+    # ------------------------------------------------------------------
+    def open(self, fleet: ReplicaSet, replica_id: int) -> ProcessReplicaHandle:
+        """Spawn slot ``replica_id``'s child and connect its handle."""
+        with self._lock:
+            self._fleet = fleet
+            if self._tmpdir is None:
+                self._tmpdir = tempfile.mkdtemp(prefix="repro-replicas-")
+            child = self._children[replica_id] = _Child(replica_id)
+            if self._monitor is None:
+                self._monitor = threading.Thread(
+                    target=self._monitor_loop, name="repro-replica-supervisor",
+                    daemon=True,
+                )
+                self._monitor.start()
+        return self._spawn(child)
+
+    def release(self, replica_id: int, handle: ProcessReplicaHandle) -> None:
+        """SIGTERM a scaled-down child after the set drained it, then reap."""
+        with self._lock:
+            child = self._children[replica_id]
+            proc, child.proc = child.proc, None
+            child.restart_at = None
+        if proc is not None:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=self.shutdown_timeout)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+            _reap(proc)
+            self._record("child_exit", replica_id, pid=proc.pid,
+                         exit_code=proc.returncode, retired=True)
+        handle.close()
+
+    def close(self, handles: List[ProcessReplicaHandle], *, drain: bool,
+              timeout: Optional[float]) -> None:
+        """Stop every child — SIGTERM-drain by default, SIGKILL otherwise.
+
+        A SIGTERM'd worker stops admission, flushes its queue through its
+        batcher, pushes every pending answer over the framed connection,
+        and exits 0 — so a draining shutdown loses nothing.  The monitor
+        is stopped *first* so no restart races the teardown.
+        """
+        with self._lock:
+            self._closing = True
+            children = list(self._children.values())
+        self._stop.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=5.0)
+        budget = self.shutdown_timeout if timeout is None else float(timeout)
+        deadline = time.monotonic() + budget
+        procs = [(c.replica_id, c.proc) for c in children if c.proc is not None]
+        for _, proc in procs:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM if drain else signal.SIGKILL)
+        for replica_id, proc in procs:
+            try:
+                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                proc.kill()
+            _reap(proc)
+            self._record("child_exit", replica_id, pid=proc.pid,
+                         exit_code=proc.returncode)
+        for handle in handles:
+            handle.close()
+        if self._tmpdir is not None:
+            shutil.rmtree(self._tmpdir, ignore_errors=True)
+
+    # ------------------------------------------------------------------
+    # spawning
+    # ------------------------------------------------------------------
+    def _record(self, event: str, replica_id: Optional[int] = None, **fields: Any) -> None:
+        assert self._fleet is not None
+        self._fleet.record(event, replica_id, **fields)
+
+    @staticmethod
+    def _child_env() -> Dict[str, str]:
+        env = dict(os.environ)
+        # The child must import the same `repro` this parent runs, even
+        # when the parent was launched via a src-layout checkout.
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
+        return env
+
+    def _spawn(self, child: _Child) -> ProcessReplicaHandle:
+        """Start one worker process and connect its framed handle."""
+        child.spawned += 1
+        port_file = os.path.join(
+            self._tmpdir, f"replica-{child.replica_id}-{child.spawned}.port"
+        )
+        argv = [
+            sys.executable, "-m", "repro.serving",
+            "--replica-worker", "--quiet",
+            "--host", self.host, "--port", "0",
+            "--port-file", port_file,
+            "--seed", str(self.seed + 1000 * child.replica_id),
+            *_worker_argv(self.service_kwargs),
+        ]
+        proc = subprocess.Popen(
+            argv,
+            stdin=subprocess.PIPE,   # child exits on EOF if this parent dies
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=self._child_env(),
+        )
+        deadline = time.monotonic() + self.spawn_timeout
+        port: Optional[int] = None
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                _reap(proc)
+                raise ServiceError(
+                    f"replica {child.replica_id} worker exited with code "
+                    f"{proc.returncode} before announcing its port"
+                )
+            try:
+                with open(port_file, "r", encoding="utf-8") as fh:
+                    text = fh.read().strip()
+                if text:
+                    port = int(text)
+                    break
+            except (FileNotFoundError, ValueError):
+                pass
+            time.sleep(0.01)
+        if port is None:
+            proc.kill()
+            _reap(proc)
+            raise ServiceError(
+                f"replica {child.replica_id} worker did not announce a port "
+                f"within {self.spawn_timeout}s"
+            )
+        try:
+            handle = ProcessReplicaHandle(
+                child.replica_id, self.host, port,
+                heartbeat_interval=self.heartbeat_interval,
+                stale_after=self.heartbeat_timeout,
+                on_death=self._lost,
+                on_health_event=lambda h, kind: self._record(kind, h.replica_id),
+            )
+        except BaseException:
+            proc.kill()
+            _reap(proc)
+            raise
+        handle.pid = proc.pid
+        handle.restarts = child.restarts
+        child.proc = proc
+        child.handle = handle
+        self._record("spawn", child.replica_id, pid=proc.pid, port=port,
+                     restarts=child.restarts)
+        return handle
+
+    # ------------------------------------------------------------------
+    # death, monitor and restart
+    # ------------------------------------------------------------------
+    def _lost(self, handle: ProcessReplicaHandle, orphans: List[Orphan]) -> None:
+        """A child's framed connection dropped (crash, kill, stall-kill)."""
+        with self._lock:
+            child = self._children[handle.replica_id]
+            proc = None
+            if not self._closing:
+                # A scaled-down child's proc was already taken by release().
+                proc, child.proc = child.proc, None
+        exit_code = None
+        if proc is not None:
+            _reap(proc)
+            exit_code = proc.returncode
+        assert self._fleet is not None
+        if self._fleet.replica_lost(handle, orphans, pid=handle.pid, exit_code=exit_code):
+            self._schedule_restart(child)
+
+    def _schedule_restart(self, child: _Child, **fields: Any) -> None:
+        with self._lock:
+            child.restarts += 1
+            delay = None
+            if child.restarts <= self.max_restarts:
+                delay = self._restart_policy.delay(child.restarts - 1)
+                child.restart_at = time.monotonic() + delay
+        if delay is None:
+            assert self._fleet is not None
+            self._fleet.replica_gave_up(child.replica_id, restarts=child.restarts - 1)
+            return
+        self._record("restart_scheduled", child.replica_id,
+                     delay=round(delay, 4), attempt=child.restarts, **fields)
+
+    def _monitor_loop(self) -> None:
+        tick = max(0.01, self.heartbeat_interval / 2.0)
+        while not self._stop.wait(tick):
+            now = time.monotonic()
+            with self._lock:
+                children = list(self._children.values())
+            for child in children:
+                with self._lock:
+                    if self._closing:
+                        return
+                    handle, proc = child.handle, child.proc
+                    due = child.restart_at is not None and now >= child.restart_at
+                if due:
+                    self._restart(child)
+                    continue
+                if handle is None or proc is None or not handle.live:
+                    continue
+                if proc.poll() is not None:
+                    # The process is gone but its socket has not signalled
+                    # yet (e.g. a forked grandchild holds the fd open).
+                    handle.mark_lost()
+                elif handle.heartbeat_age > self.heartbeat_timeout:
+                    # Alive but silent: kill it so the crash path (death ->
+                    # re-home -> restart) takes over.  Routing already
+                    # stopped placing work here when the heartbeat staled.
+                    self._record("heartbeat_stall", child.replica_id, pid=handle.pid,
+                                 age=round(handle.heartbeat_age, 4))
+                    proc.kill()
+
+    def _restart(self, child: _Child) -> None:
+        with self._lock:
+            if self._closing:
+                return
+            child.restart_at = None
+        try:
+            handle = self._spawn(child)
+        except ServiceError as exc:
+            self._schedule_restart(child, error=str(exc))
+            return
+        assert self._fleet is not None
+        if not self._fleet.replica_back(child.replica_id, "restarted", handle,
+                                        pid=handle.pid):
+            self.release(child.replica_id, handle)  # scaled down meanwhile
+
+
+class ReplicaSupervisor(ReplicaSet):
+    """N replica processes: a :class:`ReplicaSet` over a :class:`SpawnSource`.
+
+    Parameters mirror the set's where they overlap; the rest configure
+    the spawn source.  Children spawn at construction; :meth:`start`
+    returns the running supervisor.
     """
 
     def __init__(
@@ -133,604 +424,18 @@ class ReplicaSupervisor:
         shutdown_timeout: float = 30.0,
         event_log: Optional[str] = None,
     ) -> None:
-        if replicas < 1:
-            raise ValueError("a ReplicaSupervisor needs at least one replica")
-        self.num_slots = int(replicas)
-        self.service_kwargs = dict(service_kwargs or {})
-        _worker_argv(self.service_kwargs)  # validate keys before any spawn
-        self.seed = int(seed)
-        self.host = host
-        self.heartbeat_interval = float(heartbeat_interval)
-        if not 0.001 <= self.heartbeat_interval <= 60.0:
-            raise ValueError(
-                f"heartbeat_interval must be in [0.001, 60] seconds, "
-                f"got {self.heartbeat_interval}"
-            )
-        self.heartbeat_timeout = (
-            float(heartbeat_timeout) if heartbeat_timeout is not None
-            else max(1.0, 20.0 * self.heartbeat_interval)
+        super().__init__(
+            replicas,
+            source=SpawnSource(
+                service_kwargs=service_kwargs, seed=seed, host=host,
+                heartbeat_interval=heartbeat_interval,
+                heartbeat_timeout=heartbeat_timeout,
+                restart_backoff=restart_backoff,
+                restart_backoff_cap=restart_backoff_cap,
+                max_restarts=max_restarts, spawn_timeout=spawn_timeout,
+                shutdown_timeout=shutdown_timeout,
+            ),
+            spill_inflight=spill_inflight,
+            auto_eject_after=auto_eject_after,
+            event_log=event_log,
         )
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                f"heartbeat_timeout ({self.heartbeat_timeout}s) must exceed "
-                f"heartbeat_interval ({self.heartbeat_interval}s)"
-            )
-        self.restart_backoff = float(restart_backoff)
-        self.restart_backoff_cap = float(restart_backoff_cap)
-        #: One backoff curve for the whole restart schedule (jitter-free so
-        #: restart timing stays deterministic for the event-log tests).
-        self._restart_policy = BackoffPolicy(
-            base=self.restart_backoff, cap=self.restart_backoff_cap,
-            multiplier=2.0, jitter=0.0,
-        )
-        self.max_restarts = int(max_restarts)
-        self.spill_inflight = spill_inflight
-        self.auto_eject_after = int(auto_eject_after)
-        self.spawn_timeout = float(spawn_timeout)
-        self.shutdown_timeout = float(shutdown_timeout)
-        self._lock = threading.RLock()
-        self._scale_lock = threading.Lock()  # serialises scale_up/scale_down
-        self._slots = [_Slot(i) for i in range(self.num_slots)]
-        self._set: Optional[ReplicaSet] = None
-        self._monitor: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._closing = False
-        self._started = False
-        self._recorder = EventRecorder(event_log)
-        #: Orphans no survivor would take — re-homed after the next restart.
-        self._parked: List[tuple] = []
-        self._tmpdir = tempfile.mkdtemp(prefix="repro-replicas-")
-
-    # ------------------------------------------------------------------
-    # events
-    # ------------------------------------------------------------------
-    def _record(self, event: str, replica_id: Optional[int] = None, **fields: Any) -> None:
-        self._recorder.record(event, replica_id, **fields)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """Snapshot of every lifecycle event so far (oldest first)."""
-        return self._recorder.events()
-
-    # ------------------------------------------------------------------
-    # spawning
-    # ------------------------------------------------------------------
-    def _child_env(self) -> Dict[str, str]:
-        env = dict(os.environ)
-        # The child must import the same `repro` this parent runs, even
-        # when the parent was launched via a src-layout checkout.
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
-        return env
-
-    def _spawn_child(self, slot: _Slot) -> ProcessReplicaHandle:
-        """Start one worker process and connect its framed handle."""
-        slot.spawned += 1
-        port_file = os.path.join(
-            self._tmpdir, f"replica-{slot.replica_id}-{slot.spawned}.port"
-        )
-        argv = [
-            sys.executable, "-m", "repro.serving",
-            "--replica-worker", "--quiet",
-            "--host", self.host, "--port", "0",
-            "--port-file", port_file,
-            "--seed", str(self.seed + 1000 * slot.replica_id),
-            *_worker_argv(self.service_kwargs),
-        ]
-        proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,   # child exits on EOF if this parent dies
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=self._child_env(),
-        )
-        deadline = time.monotonic() + self.spawn_timeout
-        port: Optional[int] = None
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                self._reap(proc)
-                raise ServiceError(
-                    f"replica {slot.replica_id} worker exited with code "
-                    f"{proc.returncode} before announcing its port"
-                )
-            try:
-                with open(port_file, "r", encoding="utf-8") as fh:
-                    text = fh.read().strip()
-                if text:
-                    port = int(text)
-                    break
-            except (FileNotFoundError, ValueError):
-                pass
-            time.sleep(0.01)
-        if port is None:
-            proc.kill()
-            self._reap(proc)
-            raise ServiceError(
-                f"replica {slot.replica_id} worker did not announce a port "
-                f"within {self.spawn_timeout}s"
-            )
-        try:
-            handle = ProcessReplicaHandle(
-                slot.replica_id, self.host, port,
-                heartbeat_interval=self.heartbeat_interval,
-                stale_after=self.heartbeat_timeout,
-                on_death=self._child_connection_lost,
-                on_health_event=self._replica_health_event,
-            )
-        except BaseException:
-            proc.kill()
-            self._reap(proc)
-            raise
-        handle.pid = proc.pid
-        handle.restarts = slot.restarts
-        slot.proc = proc
-        slot.handle = handle
-        self._record("spawn", slot.replica_id, pid=proc.pid, port=port,
-                     restarts=slot.restarts)
-        return handle
-
-    @staticmethod
-    def _reap(proc: subprocess.Popen) -> None:
-        """Collect a child's exit status and release its pipe."""
-        if proc.stdin is not None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-
-    def start(self) -> "ReplicaSupervisor":
-        """Spawn every replica, build the routing set, start the monitor."""
-        with self._lock:
-            if self._started:
-                raise ServiceError("supervisor already started")
-            self._started = True
-        self._recorder.open()
-        try:
-            for slot in self._slots:
-                self._spawn_child(slot)
-        except BaseException:
-            self._kill_all()
-            self._cleanup()
-            raise
-        handles = {slot.replica_id: slot.handle for slot in self._slots}
-        self._set = ReplicaSet(
-            self.num_slots,
-            service_factory=lambda i: handles[i],
-            spill_inflight=self.spill_inflight,
-            auto_eject_after=self.auto_eject_after,
-        )
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-replica-supervisor", daemon=True
-        )
-        self._monitor.start()
-        return self
-
-    # ------------------------------------------------------------------
-    # death handling / re-homing
-    # ------------------------------------------------------------------
-    def _child_connection_lost(
-        self, handle: ProcessReplicaHandle, orphans: List[Orphan]
-    ) -> None:
-        """Framed connection to a child dropped (crash, kill, stall-kill)."""
-        with self._lock:
-            closing = self._closing
-            slot = self._slots[handle.replica_id]
-            current = slot.handle is handle
-            retired = slot.retired
-        if closing or not current or retired:
-            # Shutdown in progress, a superseded handle's late death, or a
-            # scaled-down replica exiting on schedule: nothing to restart,
-            # just settle whatever it still carried.
-            self._fail_orphans(orphans, JobStatus.CANCELLED,
-                               "replica shut down before answering")
-            return
-        self._handle_death(slot, handle, orphans)
-
-    def _handle_death(
-        self, slot: _Slot, handle: ProcessReplicaHandle, orphans: List[Orphan]
-    ) -> None:
-        proc = slot.proc
-        exit_code = None
-        if proc is not None:
-            self._reap(proc)
-            exit_code = proc.returncode
-        self._record("death", slot.replica_id, pid=handle.pid,
-                     exit_code=exit_code, orphans=len(orphans))
-        parked_ids: List[int] = []
-        for request, future in orphans:
-            if self._rehome(slot.replica_id, request, future) == "parked":
-                parked_ids.append(request.request_id)
-        if parked_ids:
-            self._record("orphans_parked", slot.replica_id,
-                         count=len(parked_ids), request_ids=parked_ids)
-        with self._lock:
-            slot.proc = None
-            slot.restarts += 1
-            if slot.restarts > self.max_restarts:
-                slot.gave_up = True
-                slot.restart_at = None
-                self._record("gave_up", slot.replica_id, restarts=slot.restarts - 1)
-                return
-            delay = self._restart_policy.delay(slot.restarts - 1)
-            slot.restart_at = time.monotonic() + delay
-        self._record("restart_scheduled", slot.replica_id,
-                     delay=round(delay, 4), attempt=slot.restarts)
-
-    def _rehome(
-        self, from_replica: int, request: SolveRequest, future: "Any"
-    ) -> str:
-        """Resubmit one orphaned job to a surviving replica.
-
-        The job is submitted to the surviving handle *directly*, not
-        through the set: callers are already blocked on (or subscribed
-        to) the dead slot's future via the set's routing table, so the
-        route must keep pointing there — the new replica's answer chains
-        back into that original future.  The job keeps its request id, so
-        the submitter sees exactly one answer under its own id no matter
-        how many replicas die beneath it.
-
-        When no survivor accepts (single-replica deployment, total
-        outage), the orphan is *parked* and re-homed to the next restarted
-        child — it only fails once every slot has given up.  Returns
-        ``"rehomed"``, ``"parked"`` or ``"failed"`` so the caller can
-        summarise an episode (one ``orphans_parked`` event per death, not
-        one per job).
-        """
-        def _settle(response: SolveResponse) -> None:
-            if not future.done():
-                future.set_result(response)
-
-        with self._lock:
-            candidates = [
-                slot.handle for slot in self._slots
-                if slot.handle is not None and slot.handle.live
-            ]
-        candidates = [h for h in candidates if h.accepting]
-        candidates.sort(key=lambda h: (h.inflight, h.replica_id))
-        last_error: Optional[ServiceError] = None
-        for handle in candidates:
-            try:
-                handle.submit_request(request, block=False)
-            except ServiceError as exc:
-                last_error = exc
-                continue
-            handle.on_response(request.request_id, _settle)
-            self._record("rehome", from_replica, request_id=request.request_id,
-                         ok=True, to=handle.replica_id)
-            return "rehomed"
-        with self._lock:
-            restart_coming = not self._closing and any(
-                not slot.gave_up for slot in self._slots
-            )
-            if restart_coming:
-                self._parked.append((from_replica, request, future))
-        if restart_coming:
-            return "parked"
-        self._record("rehome_failed", from_replica, request_id=request.request_id,
-                     error=str(last_error) if last_error else "no survivors")
-        _settle(SolveResponse(
-            request_id=request.request_id,
-            status=JobStatus.FAILED,
-            algorithm=request.algorithm,
-            error="replica died and no surviving replica accepted the job"
-                  + (f": {last_error}" if last_error else ""),
-        ))
-        return "failed"
-
-    def _replica_health_event(self, handle: ProcessReplicaHandle, kind: str) -> None:
-        """Breaker/gray transitions from a handle land in the event log."""
-        self._record(kind, handle.replica_id)
-
-    def _fail_orphans(
-        self, orphans: List[Orphan], status: JobStatus, message: str
-    ) -> None:
-        for request, future in orphans:
-            if not future.done():
-                future.set_result(SolveResponse(
-                    request_id=request.request_id,
-                    status=status,
-                    algorithm=request.algorithm,
-                    error=message,
-                ))
-
-    # ------------------------------------------------------------------
-    # monitor
-    # ------------------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        tick = max(0.01, self.heartbeat_interval / 2.0)
-        while not self._stop.wait(tick):
-            now = time.monotonic()
-            for slot in list(self._slots):
-                with self._lock:
-                    if self._closing:
-                        return
-                    if slot.retired:
-                        continue
-                    handle, proc = slot.handle, slot.proc
-                    due = (
-                        not slot.gave_up
-                        and slot.restart_at is not None
-                        and now >= slot.restart_at
-                    )
-                if due:
-                    self._restart(slot)
-                    continue
-                if handle is None:
-                    continue
-                if proc is not None and proc.poll() is not None and handle.live:
-                    # The process is gone but its socket has not signalled
-                    # yet (e.g. a forked grandchild holds the fd open).
-                    handle.mark_lost()
-                elif (
-                    handle.live
-                    and proc is not None
-                    and proc.poll() is None
-                    and handle.heartbeat_age > self.heartbeat_timeout
-                ):
-                    # Alive but silent: kill it so the crash path (death ->
-                    # re-home -> restart) takes over.  Routing already
-                    # stopped placing work here when the heartbeat staled.
-                    self._record("heartbeat_stall", slot.replica_id, pid=handle.pid,
-                                 age=round(handle.heartbeat_age, 4))
-                    proc.kill()
-
-    def _restart(self, slot: _Slot) -> None:
-        with self._lock:
-            if self._closing or slot.gave_up:
-                return
-            slot.restart_at = None
-        try:
-            handle = self._spawn_child(slot)
-        except ServiceError as exc:
-            with self._lock:
-                slot.restarts += 1
-                if slot.restarts > self.max_restarts:
-                    slot.gave_up = True
-                    self._record("gave_up", slot.replica_id, restarts=slot.restarts - 1)
-                    return
-                delay = self._restart_policy.delay(slot.restarts - 1)
-                slot.restart_at = time.monotonic() + delay
-            self._record("restart_scheduled", slot.replica_id,
-                         delay=round(delay, 4), attempt=slot.restarts,
-                         error=str(exc))
-            return
-        assert self._set is not None
-        self._set.replace_handle(slot.replica_id, handle)
-        self._set.restore(slot.replica_id)
-        self._record("restarted", slot.replica_id, pid=handle.pid)
-        with self._lock:
-            parked, self._parked = self._parked, []
-        for from_replica, request, future in parked:
-            self._rehome(from_replica, request, future)
-
-    # ------------------------------------------------------------------
-    # the backend surface (delegation to the set)
-    # ------------------------------------------------------------------
-    def _require_set(self) -> ReplicaSet:
-        if self._set is None:
-            raise ServiceShutdownError("supervisor not started")
-        return self._set
-
-    def submit_request(self, request: SolveRequest, *, block: bool = False,
-                       put_timeout: Optional[float] = None) -> int:
-        return self._require_set().submit_request(
-            request, block=block, put_timeout=put_timeout
-        )
-
-    def result(self, request_id: int, timeout: Optional[float] = None) -> SolveResponse:
-        return self._require_set().result(request_id, timeout=timeout)
-
-    def on_response(self, request_id: int, callback) -> None:
-        self._require_set().on_response(request_id, callback)
-
-    def solve(self, function, initial_labels, *, timeout=None, **submit_kwargs) -> SolveResponse:
-        return self._require_set().solve(
-            function, initial_labels, timeout=timeout, **submit_kwargs
-        )
-
-    @property
-    def accepting(self) -> bool:
-        return self._set is not None and not self._closing and self._set.accepting
-
-    @property
-    def inflight(self) -> int:
-        return 0 if self._set is None else self._set.inflight
-
-    @property
-    def queue_depth(self) -> int:
-        return 0 if self._set is None else self._set.queue_depth
-
-    @property
-    def num_replicas(self) -> int:
-        return self.num_slots
-
-    @property
-    def active_replicas(self) -> int:
-        """Replicas currently in placement (scale seam)."""
-        return 0 if self._set is None else self._set.active_replicas
-
-    def estimated_drain_seconds(self) -> Optional[float]:
-        """Worst per-replica drain estimate, when any handle reports one."""
-        if self._set is None:
-            return None
-        return self._set.estimated_drain_seconds()
-
-    @property
-    def recorder(self) -> EventRecorder:
-        """The shared lifecycle recorder (a pool controller logs here too)."""
-        return self._recorder
-
-    def note_scale_decision(self, decision: Dict[str, Any]) -> None:
-        self._require_set().note_scale_decision(decision)
-
-    # ------------------------------------------------------------------
-    # dynamic pool (the autoscaling seam)
-    # ------------------------------------------------------------------
-    def scale_up(self) -> int:
-        """Spawn one more child process and add it to placement.
-
-        Appends a new slot (slot ids are append-only, matching the set's
-        contract), spawns the worker, and installs its handle as a new
-        replica.  Returns the new replica id.
-        """
-        with self._scale_lock:
-            replica_set = self._require_set()
-            with self._lock:
-                if self._closing:
-                    raise ServiceShutdownError("supervisor is shutting down")
-                slot = _Slot(len(self._slots))
-                self._slots.append(slot)
-                self.num_slots = len(self._slots)
-            try:
-                handle = self._spawn_child(slot)
-            except BaseException:
-                with self._lock:
-                    slot.retired = True
-                    slot.gave_up = True
-                raise
-            replica_id = replica_set.add_replica(handle=handle)
-            assert replica_id == slot.replica_id, (
-                f"slot/set id drift: {slot.replica_id} vs {replica_id}"
-            )
-            return replica_id
-
-    def scale_down(self) -> Optional[int]:
-        """Retire the youngest active child: drain, SIGTERM, reap.
-
-        The set drains the victim's in-flight work first; only after the
-        drain completes is the child terminated, so scale-down never loses
-        an accepted job.  Returns the retired replica id, or ``None`` when
-        only one active replica remains.
-        """
-        with self._scale_lock:
-            replica_set = self._require_set()
-            with self._lock:
-                active = [
-                    s for s in self._slots
-                    if not s.retired and not s.gave_up and s.handle is not None
-                ]
-                if len(active) <= 1:
-                    return None
-                slot = max(active, key=lambda s: s.replica_id)
-                # Mark before the set acts so the child's scheduled exit is
-                # never mistaken for a crash (no restart, no death event).
-                slot.retired = True
-                slot.restart_at = None
-            retired = replica_set.scale_down(
-                slot.replica_id, on_drained=self._terminate_child
-            )
-            if retired is None:
-                with self._lock:
-                    slot.retired = False
-                return None
-            return retired
-
-    def _terminate_child(self, replica_id: int) -> None:
-        """Post-drain teardown of a scaled-down child (retire callback)."""
-        with self._lock:
-            slot = self._slots[replica_id]
-            proc, handle = slot.proc, slot.handle
-            slot.proc = None
-        if proc is not None:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=self.shutdown_timeout)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-            self._reap(proc)
-            self._record("child_exit", replica_id, pid=proc.pid,
-                         exit_code=proc.returncode, retired=True)
-        if handle is not None:
-            handle.close()
-
-    def metrics(self) -> ServiceMetrics:
-        return self._require_set().metrics()
-
-    def replica_rows(self) -> List[Dict[str, object]]:
-        return self._require_set().replica_rows()
-
-    def eject(self, replica_id: int, *, drain: bool = True) -> None:
-        self._require_set().eject(replica_id, drain=drain)
-
-    def restore(self, replica_id: int) -> None:
-        self._require_set().restore(replica_id)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        return self._require_set().drain(timeout)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _kill_all(self) -> None:
-        for slot in self._slots:
-            if slot.proc is not None and slot.proc.poll() is None:
-                slot.proc.kill()
-            if slot.proc is not None:
-                self._reap(slot.proc)
-
-    def shutdown(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop every child — SIGTERM-drain by default, SIGKILL otherwise.
-
-        A SIGTERM'd worker stops admission, flushes its queue through its
-        batcher, pushes every pending answer over the framed connection,
-        and exits 0 — so a draining shutdown loses nothing.  The monitor
-        is stopped *first* so no restart races the teardown.
-        """
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-        self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-        budget = self.shutdown_timeout if timeout is None else float(timeout)
-        deadline = time.monotonic() + budget
-        for slot in self._slots:
-            proc = slot.proc
-            if proc is None or proc.poll() is not None:
-                continue
-            if drain:
-                proc.send_signal(signal.SIGTERM)
-            else:
-                proc.kill()
-        for slot in self._slots:
-            proc = slot.proc
-            if proc is None:
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-            self._reap(proc)
-            self._record("child_exit", slot.replica_id, pid=proc.pid,
-                         exit_code=proc.returncode)
-        for slot in self._slots:
-            if slot.handle is not None:
-                slot.handle.close()
-        with self._lock:
-            parked, self._parked = self._parked, []
-        self._fail_orphans(
-            [(request, future) for _, request, future in parked],
-            JobStatus.CANCELLED, "supervisor shut down before the job could be re-homed",
-        )
-        self._record("shutdown", drained=bool(drain))
-        self._cleanup()
-
-    def _cleanup(self) -> None:
-        self._recorder.close()
-        shutil.rmtree(self._tmpdir, ignore_errors=True)
-
-    def __enter__(self) -> "ReplicaSupervisor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(drain=exc_type is None)

@@ -44,6 +44,7 @@ import math
 import random
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -214,9 +215,18 @@ class HttpIngress:
         """Bind and serve until :meth:`close` (or task cancellation)."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        # Every connection from the moment it is accepted: one accepted
+        # while the server stops may never reach its handler, and its
+        # transport must still be closed before the loop is.
+        writers: "weakref.WeakSet[asyncio.StreamWriter]" = weakref.WeakSet()
+
+        def _accepted(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+            writers.add(writer)
+            return self._handle_connection(reader, writer)
+
         try:
             server = await asyncio.start_server(
-                self._handle_connection, self.host, self._requested_port
+                _accepted, self.host, self._requested_port
             )
         except BaseException as exc:
             self._startup_error = exc
@@ -235,6 +245,9 @@ class HttpIngress:
                 task.cancel()
             if self._conn_tasks:
                 await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            for writer in list(writers):
+                if not writer.transport.is_closing():
+                    writer.transport.abort()
             # writer.close() tears transports down via call_soon; yield a
             # few loop iterations so those callbacks run before asyncio.run
             # closes the loop with them still pending (ResourceWarning).

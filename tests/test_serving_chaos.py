@@ -317,7 +317,7 @@ def test_breaker_transitions_are_logged_as_fleet_events():
     host = _Host()
     fleet = RemoteReplicaFleet([host.address]).start()
     try:
-        handle = fleet._handles[0]
+        handle = fleet.handle(0)
         # Force the transitions (the fault-injection seam an external
         # health verdict would use) — the wiring under test is
         # handle -> on_health_event -> fleet event log.

@@ -70,7 +70,7 @@ def test_both_handle_kinds_satisfy_the_replica_handle_protocol(supervisor):
         service.shutdown(drain=False)
     rows = supervisor.replica_rows()
     assert all(isinstance(row["pid"], int) for row in rows)
-    handle = supervisor._slots[0].handle
+    handle = supervisor.handle(0)
     assert isinstance(handle, ProcessReplicaHandle)
     assert isinstance(handle, ReplicaHandle)
     # advertised health flows from wire heartbeats, not shared memory
@@ -80,7 +80,7 @@ def test_both_handle_kinds_satisfy_the_replica_handle_protocol(supervisor):
 
 
 def test_dead_handle_rejects_submits_instead_of_hanging(supervisor):
-    handle = supervisor._slots[0].handle
+    handle = supervisor.handle(0)
     os.kill(handle.pid, signal.SIGKILL)
     _wait_for(lambda: not handle.live, message="death detection")
     with pytest.raises(ServiceShutdownError):
@@ -125,7 +125,7 @@ def test_heartbeat_stall_health_gates_then_restarts_the_replica():
         restart_backoff_cap=0.5,
     ).start()
     try:
-        handle = sup._slots[0].handle
+        handle = sup.handle(0)
         _wait_for(lambda: handle.accepting, message="first heartbeat")
         os.kill(handle.pid, signal.SIGSTOP)  # alive but silent
 
@@ -164,16 +164,16 @@ def test_restart_storm_is_capped_by_backoff_then_gives_up():
         max_restarts=2,
     ).start()
     try:
+        def gave_up():
+            return any(e["event"] == "gave_up" for e in sup.events())
+
         for _ in range(3):  # keep killing it until the supervisor gives up
-            slot = sup._slots[0]
-            _wait_for(lambda: slot.handle is not None and slot.handle.live
-                      and slot.proc is not None and slot.proc.poll() is None,
-                      message="replica up")
-            os.kill(slot.handle.pid, signal.SIGKILL)
-            _wait_for(lambda: not slot.handle.live, message="death detected")
-            if slot.gave_up:
+            _wait_for(lambda: sup.handle(0).live, message="replica up")
+            os.kill(sup.handle(0).pid, signal.SIGKILL)
+            _wait_for(lambda: not sup.handle(0).live, message="death detected")
+            if gave_up():
                 break
-        _wait_for(lambda: sup._slots[0].gave_up, message="give-up")
+        _wait_for(gave_up, message="give-up")
 
         events = sup.events()
         delays = [e["delay"] for e in events if e["event"] == "restart_scheduled"]
@@ -213,7 +213,7 @@ def test_drain_shutdown_answers_inflight_work_and_children_exit_zero():
 # ----------------------------------------------------------------------
 def test_metrics_expose_per_replica_liveness_and_restart_gauges(supervisor):
     # restart one replica so the gauges have something non-trivial to say
-    victim = supervisor._slots[1].handle
+    victim = supervisor.handle(1)
     os.kill(victim.pid, signal.SIGKILL)
     _wait_for(
         lambda: any(e["event"] == "restarted" and e["replica"] == 1
