@@ -14,8 +14,8 @@ front end that *accepts traffic*.  This package turns
   one packed ``solve_batch`` call under ``max_batch_size`` /
   ``max_batch_delay`` knobs;
 * :mod:`~repro.serving.workers` — a sharded worker pool (threads driving
-  per-worker PRAM machines, or a process pool for true multi-core) with
-  least-loaded or consistent-hash placement;
+  per-worker PRAM machines, each batch to the least-loaded shard, or a
+  process pool for true multi-core);
 * :mod:`~repro.serving.service` — the :class:`SolveService` front end:
   ``async submit()/result()/solve()`` plus a synchronous facade, graceful
   drain/shutdown and a rolling metrics snapshot;
@@ -66,7 +66,11 @@ front end that *accepts traffic*.  This package turns
   shrinks a replica pool (in-process set, supervised processes, or a
   remote fleet) from rolling queue depth, per-replica occupancy and
   p99-vs-SLO, with hysteresis, cooldown and min/max bounds — every
-  decision logged through the shared :class:`EventRecorder`.
+  decision logged through the shared :class:`EventRecorder`;
+* :mod:`~repro.serving.bench` — the two load drivers: ``run_load``, a
+  verified closed burst against a fresh service or a running server, and
+  ``run_open_loop``, an open-loop generator over a schedule of
+  ``(rps, seconds)`` phases behind the capacity sweep and the step load.
 
 Quickstart
 ----------
@@ -85,8 +89,9 @@ Or asynchronously, coalescing a burst of requests into shared batches::
 
 ``python -m repro.serving --workers 4 --batch-size 32`` runs a
 self-contained load-generator demo and prints the metrics table;
-``repro-serve --http --replicas 3`` serves the whole stack over HTTP, and
-``repro-serve --connect URL`` drives a running server over the wire.
+``repro-serve --http --replicas 3`` serves the whole stack over HTTP,
+``repro-serve --connect URL`` fires the same burst at a running server
+over the wire, and ``repro-serve --loadgen`` measures a pool open loop.
 """
 
 from .autoscale import (

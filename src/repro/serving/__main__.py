@@ -24,12 +24,15 @@ Six modes:
   *already-running* server over HTTP, verifies responses against direct
   solves, and snapshots the server's ``/metrics`` document;
   ``--connect-retries N`` rides out dropped connections (chaos smoke).
+  It shares the demo's driver (:func:`~repro.serving.bench.run_load`),
+  report and exit codes.
 * **Open-loop load generator (``--loadgen``)** — offers requests at a
   fixed arrival rate to a fresh in-process pool and measures how it
   copes (latency percentiles, shed fraction, nothing-lost check);
   ``--sweep`` runs the full capacity grid (replica counts × offered
   rates) and reports each pool size's knee — the measured capacity
-  model behind ``BENCH_SERVING.json``.
+  model behind ``BENCH_SERVING.json``; ``--step`` runs the
+  predictive-vs-reactive step-load A/B.
 * **Chaos proxy (``--chaos-proxy --upstream HOST:PORT``)** — a
   deterministic fault-injecting TCP proxy
   (:mod:`repro.serving.chaos`): seeded schedule of latency, resets,
@@ -65,8 +68,8 @@ import time
 from typing import Optional, Sequence
 
 from ..analysis.tables import render_table
-from .bench import run_load, run_wire_load
-from .workers import BACKENDS, PLACEMENTS
+from .bench import run_load
+from .workers import BACKENDS
 
 #: Schema stamp of the ``--metrics-out`` JSON document.
 METRICS_SCHEMA = "repro.serving"
@@ -83,20 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKENDS, default="thread",
         help="worker backend: persistent threaded shards or a process pool",
     )
-    parser.add_argument(
-        "--placement", choices=PLACEMENTS, default="least_loaded",
-        help="shard placement policy (thread backend)",
-    )
     parser.add_argument("--batch-size", type=int, default=32, help="max requests per batch")
     parser.add_argument(
         "--batch-delay-ms", type=float, default=2.0,
         help="max time a partially-filled batch is held open (default 2ms)",
     )
     parser.add_argument("--queue-capacity", type=int, default=1024, help="ingress bound")
-    parser.add_argument(
-        "--mode", choices=("packed", "sequential"), default="packed",
-        help="solve_batch sharding mode",
-    )
     parser.add_argument("--requests", type=int, default=256, help="burst size (default 256)")
     parser.add_argument("--size", type=int, default=256, help="nodes per instance (default 256)")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
@@ -308,12 +303,37 @@ def _replicas_spec(value: str):
     return int(value)
 
 
-def _write_port_file(path, port) -> None:
-    port_dir = os.path.dirname(path)
-    if port_dir:
-        os.makedirs(port_dir, exist_ok=True)
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory."""
+    out_dir = os.path.dirname(path)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{port}\n")
+        fh.write(text)
+
+
+def _write_json(path: str, document, say) -> None:
+    _write_text(path, json.dumps(document, indent=2) + "\n")
+    say(f"[repro.serving] wrote {path}")
+
+
+def _merge_json(path: str, key: str, section, say) -> None:
+    """Set ``key`` of the JSON artifact at ``path`` to ``section``, keeping
+    its other keys (``BENCH_SERVING.json`` also holds the serving
+    experiment's cells)."""
+    document = {}
+    if os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                existing = json.load(fh)
+        except (OSError, ValueError):
+            existing = None
+        if isinstance(existing, dict):
+            document = existing
+    document.setdefault("schema", f"{METRICS_SCHEMA}.capacity")
+    document.setdefault("schema_version", METRICS_SCHEMA_VERSION)
+    document[key] = section
+    _write_json(path, document, say)
 
 
 def _auth_secret(args) -> Optional[str]:
@@ -346,11 +366,9 @@ def serve_http(args, say) -> int:
     service_kwargs = dict(
         workers=args.workers,
         backend=args.backend,
-        placement=args.placement,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
-        mode=args.mode,
         default_algorithm=args.algorithm,
     )
     auto_scale = args.replicas == "auto"
@@ -426,7 +444,7 @@ def serve_http(args, say) -> int:
         "(HTTP + framed on one port; POST /v1/solve, GET /healthz, "
         "GET /metrics; Ctrl-C to drain and stop)")
     if args.port_file:
-        _write_port_file(args.port_file, ingress.port)
+        _write_text(args.port_file, f"{ingress.port}\n")
     try:
         while True:
             time.sleep(3600)
@@ -460,11 +478,9 @@ def run_replica_worker(args, say) -> int:
     service = SolveService(
         workers=args.workers,
         backend=args.backend,
-        placement=args.placement,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
-        mode=args.mode,
         default_algorithm=args.algorithm,
         seed=args.seed,
     )
@@ -473,7 +489,7 @@ def run_replica_worker(args, say) -> int:
         auth_secret=_auth_secret(args),
     ).start_in_thread()
     if args.port_file:
-        _write_port_file(args.port_file, ingress.port)
+        _write_text(args.port_file, f"{ingress.port}\n")
     say(f"[repro.serving] replica worker pid {os.getpid()} on {ingress.url}")
 
     stop = threading.Event()
@@ -543,7 +559,7 @@ def run_chaos_proxy(args, say) -> int:
     say(f"[repro.serving] chaos proxy {proxy.address} -> {args.upstream}; "
         f"faults: {faults_desc}")
     if args.port_file:
-        _write_port_file(args.port_file, proxy.port)
+        _write_text(args.port_file, f"{proxy.port}\n")
     try:
         while True:
             time.sleep(3600)
@@ -555,84 +571,50 @@ def run_chaos_proxy(args, say) -> int:
 
 
 def run_loadgen(args, say) -> int:
-    """``--loadgen``: open-loop overload measurement / capacity sweep."""
-    from .bench import run_capacity_sweep, run_open_loop
+    """``--loadgen``: open-loop overload measurement.
 
-    def _csv(text, cast):
-        return [cast(x) for x in str(text).split(",") if x.strip()]
+    ``--sweep`` runs the capacity grid; without it, one cell (``--rate``
+    against ``--replicas``) is a one-by-one sweep.
+    """
+    from .bench import run_capacity_sweep
 
     if args.step:
         return run_step(args, say)
     if args.sweep:
-        model = run_capacity_sweep(
-            replica_counts=_csv(args.sweep_replicas, int),
-            rates_rps=_csv(args.sweep_rates, float),
-            duration=args.duration,
-            size=args.size,
-            seed=args.seed,
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            slo_p99_ms=args.slo_p99_ms,
-            max_shed_fraction=args.max_shed_fraction,
-            algorithm=args.algorithm,
-            progress=say,
-        )
-        cells = model["cells"]
-        pools = model["pools"]
-        lost = sum(int(c["lost"]) for c in cells)
+        replica_counts = [int(x) for x in args.sweep_replicas.split(",") if x.strip()]
+        rates = [float(x) for x in args.sweep_rates.split(",") if x.strip()]
     else:
-        replicas = (max(1, args.min_replicas) if args.replicas == "auto"
-                    else max(1, args.replicas))
-        cell = run_open_loop(
-            replicas=replicas,
-            rate_rps=args.rate,
-            duration=args.duration,
-            size=args.size,
-            seed=args.seed,
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            algorithm=args.algorithm,
-        )
-        model = {"cells": [cell], "pools": []}
-        cells, pools = [cell], []
-        lost = int(cell["lost"])
-
+        replica_counts = [max(1, args.min_replicas) if args.replicas == "auto"
+                          else max(1, args.replicas)]
+        rates = [args.rate]
+    model = run_capacity_sweep(
+        replica_counts=replica_counts,
+        rates_rps=rates,
+        duration=args.duration,
+        size=args.size,
+        seed=args.seed,
+        workers=args.workers,
+        queue_capacity=args.queue_capacity,
+        slo_p99_ms=args.slo_p99_ms,
+        max_shed_fraction=args.max_shed_fraction,
+        algorithm=args.algorithm,
+        progress=say,
+    )
+    cells = model["cells"]
+    lost = sum(int(c["lost"]) for c in cells)
     flat = [
         {k: v for k, v in c.items() if not isinstance(v, dict)} for c in cells
     ]
     say("")
     say(render_table(flat, title="open-loop capacity cells"))
-    if pools:
-        say("")
-        say(render_table(pools, title="capacity model (knee per pool size)"))
+    say("")
+    say(render_table(model["pools"], title="capacity model (knee per pool size)"))
     say("")
     say(f"[repro.serving] {sum(int(c['requests']) for c in cells)} offered, "
         f"{sum(int(c['completed']) for c in cells)} completed, "
         f"{sum(int(c['shed']) for c in cells)} shed, {lost} lost")
-
     if args.bench_out:
-        # Merge into the existing artifact (BENCH_SERVING.json also holds
-        # the serving bench experiment's cells) rather than replacing it.
-        document = {}
-        if os.path.exists(args.bench_out):
-            try:
-                with open(args.bench_out, "r", encoding="utf-8") as fh:
-                    existing = json.load(fh)
-            except (OSError, ValueError):
-                existing = None
-            if isinstance(existing, dict):
-                document = dict(existing)
-        document.setdefault("schema", f"{METRICS_SCHEMA}.capacity")
-        document.setdefault("schema_version", METRICS_SCHEMA_VERSION)
-        document["capacity_model"] = model
-        out_dir = os.path.dirname(args.bench_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        say(f"[repro.serving] wrote {args.bench_out}")
-
+        _merge_json(args.bench_out, "capacity_model", model, say)
     if lost:
         print(f"[repro.serving] FAILURE: {lost} admitted job(s) never "
               "settled (overload must shed, not lose)", file=sys.stderr)
@@ -684,28 +666,8 @@ def run_step(args, say) -> int:
     say("")
     say(render_table(rows, title="step-load A/B (reactive vs predictive)"))
     lost = sum(int(row["lost"]) for row in document["rows"])
-
     if args.bench_out:
-        merged = {}
-        if os.path.exists(args.bench_out):
-            try:
-                with open(args.bench_out, "r", encoding="utf-8") as fh:
-                    existing = json.load(fh)
-            except (OSError, ValueError):
-                existing = None
-            if isinstance(existing, dict):
-                merged = dict(existing)
-        merged.setdefault("schema", f"{METRICS_SCHEMA}.capacity")
-        merged.setdefault("schema_version", METRICS_SCHEMA_VERSION)
-        merged["step_load"] = document
-        out_dir = os.path.dirname(args.bench_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(merged, fh, indent=2)
-            fh.write("\n")
-        say(f"[repro.serving] wrote {args.bench_out}")
-
+        _merge_json(args.bench_out, "step_load", document, say)
     if lost:
         print(f"[repro.serving] FAILURE: {lost} admitted job(s) never "
               "settled during the step (overload must shed, not lose)",
@@ -714,43 +676,68 @@ def run_step(args, say) -> int:
     return 0
 
 
-def run_connect(args, say) -> int:
-    """``--connect URL``: wire load generator against a running server."""
-    say(f"[repro.serving] over-the-wire burst of {args.requests} requests "
-        f"(n={args.size}) -> {args.connect}")
-    report = run_wire_load(
-        args.connect,
+def run_burst(args, say) -> int:
+    """The default burst, or with ``--connect URL`` the same burst over
+    HTTP at a running server: fire, verify, report, exit."""
+    if args.connect:
+        say(f"[repro.serving] over-the-wire burst of {args.requests} requests "
+            f"(n={args.size}) -> {args.connect}")
+        target = dict(url=args.connect, transport="http",
+                      connect_retries=max(0, args.connect_retries))
+    else:
+        say(f"[repro.serving] burst of {args.requests} requests (n={args.size}) -> "
+            f"{args.workers} {args.backend} worker(s), batch<= {args.batch_size}, "
+            f"delay {args.batch_delay_ms}ms")
+        target = {}
+    report = run_load(
+        workers=args.workers,
+        backend=args.backend,
+        max_batch_size=args.batch_size,
+        max_batch_delay=args.batch_delay_ms / 1e3,
+        queue_capacity=args.queue_capacity,
         requests=args.requests,
         size=args.size,
         seed=args.seed,
         algorithm=args.algorithm,
         audit_mix=not args.no_audit_mix,
         verify=not args.no_verify,
-        connect_retries=max(0, args.connect_retries),
+        **target,
     )
-    say(f"[repro.serving] completed {report.completed}/{len(report.responses)} "
+    m = report.metrics
+    say("")
+    say(render_table(m.as_rows(), title="repro.serving metrics snapshot"))
+    if m.workers:
+        say("")
+        say(render_table(m.workers, title="per-worker shards"))
+    say("")
+    say(
+        f"[repro.serving] completed {report.completed}/{len(report.responses)} "
         f"in {report.wall_seconds:.3f}s "
-        f"({report.completed / report.wall_seconds:.1f} req/s over the wire)")
+        f"({report.completed / report.wall_seconds:.1f} req/s); "
+        f"{m.batches} batches, {m.multi_request_batches} multi-request "
+        f"(largest {m.max_occupancy}, mean occupancy {m.mean_occupancy:.2f})"
+    )
     if report.verified is not None:
         say("[repro.serving] verification vs direct coarsest_partition: "
             f"{'OK' if report.verified else 'MISMATCH'}")
+
     if args.metrics_out:
         document = {
             "schema": METRICS_SCHEMA,
             "schema_version": METRICS_SCHEMA_VERSION,
             "config": report.config,
-            "server_metrics": report.server_metrics,
-            "wall_seconds": round(report.wall_seconds, 4),
-            "completed": report.completed,
-            "verified": report.verified,
         }
-        out_dir = os.path.dirname(args.metrics_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        say(f"[repro.serving] wrote {args.metrics_out}")
+        if report.server_metrics is not None:
+            document["server_metrics"] = report.server_metrics
+        else:
+            document["metrics"] = m.as_dict()
+        document.update(
+            wall_seconds=round(report.wall_seconds, 4),
+            completed=report.completed,
+            verified=report.verified,
+        )
+        _write_json(args.metrics_out, document, say)
+
     if not report.all_done or report.verified is False:
         print(
             f"[repro.serving] FAILURE: {len(report.responses) - report.completed} "
@@ -758,6 +745,13 @@ def run_connect(args, say) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.require_batching and not report.coalesced:
+        print(
+            "[repro.serving] FAILURE: no multi-request batch formed "
+            "(--require-batching)",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -776,84 +770,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_replica_worker(args, say)
     if args.http or args.remote or args.remote_config:
         return serve_http(args, say)
-    if args.connect:
-        return run_connect(args, say)
     if args.loadgen:
         return run_loadgen(args, say)
-
-    say(
-        f"[repro.serving] burst of {args.requests} requests (n={args.size}) -> "
-        f"{args.workers} {args.backend} worker(s), batch<= {args.batch_size}, "
-        f"delay {args.batch_delay_ms}ms"
-    )
-    report = run_load(
-        workers=args.workers,
-        backend=args.backend,
-        placement=args.placement,
-        max_batch_size=args.batch_size,
-        max_batch_delay=args.batch_delay_ms / 1e3,
-        queue_capacity=args.queue_capacity,
-        mode=args.mode,
-        requests=args.requests,
-        size=args.size,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        audit_mix=not args.no_audit_mix,
-        verify=not args.no_verify,
-    )
-    m = report.metrics
-
-    say("")
-    say(render_table(m.as_rows(), title="repro.serving metrics snapshot"))
-    if m.workers:
-        say("")
-        say(render_table(m.workers, title="per-worker shards"))
-    say("")
-    say(
-        f"[repro.serving] completed {report.completed}/{len(report.responses)} "
-        f"in {report.wall_seconds:.3f}s ({m.throughput_rps:.1f} req/s); "
-        f"{m.batches} batches, {m.multi_request_batches} multi-request "
-        f"(largest {m.max_occupancy}, mean occupancy {m.mean_occupancy:.2f})"
-    )
-    if report.verified is not None:
-        say(
-            "[repro.serving] verification vs direct coarsest_partition "
-            f"(audited and unaudited): {'OK' if report.verified else 'MISMATCH'}"
-        )
-
-    if args.metrics_out:
-        document = {
-            "schema": METRICS_SCHEMA,
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "config": report.config,
-            "metrics": m.as_dict(),
-            "wall_seconds": round(report.wall_seconds, 4),
-            "completed": report.completed,
-            "verified": report.verified,
-        }
-        out_dir = os.path.dirname(args.metrics_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        say(f"[repro.serving] wrote {args.metrics_out}")
-
-    if not report.all_done or report.verified is False:
-        print(
-            f"[repro.serving] FAILURE: {len(report.responses) - report.completed} "
-            f"incomplete, {len(report.mismatches)} mismatched responses",
-            file=sys.stderr,
-        )
-        return 1
-    if args.require_batching and not report.coalesced:
-        print(
-            "[repro.serving] FAILURE: no multi-request batch formed "
-            "(--require-batching)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return run_burst(args, say)
 
 
 if __name__ == "__main__":

@@ -1,36 +1,36 @@
 """Load generation and benchmarking for the serving front end.
 
-:func:`run_load` drives a :class:`~repro.serving.service.SolveService`
-with a synthetic but deterministic request stream (rotating workload
-families, mixed audited/unaudited traffic), optionally verifying every
-response against a direct single-instance
-:func:`repro.partition.coarsest_partition` call.  Three transports are
-supported: ``"inproc"`` fires the burst through the *asyncio* front end;
-``"http"`` boots a loopback :class:`~repro.serving.transport.HttpIngress`
-around the same service and fires the burst over real sockets; and
-``"framed"`` boots the length-prefixed binary transport
-(:class:`~repro.serving.framing.FramedIngress`) over the same loopback.
-Orthogonally, ``replica_mode="process"`` swaps the in-process service
-for a :class:`~repro.serving.supervisor.ReplicaSupervisor` of
-socket-backed child processes, so the ``serving`` benchmark experiment
-(``BENCH_SERVING.json``) tracks the over-the-wire and cross-process
-overheads next to the in-process numbers across PRs.
-:func:`run_wire_load` drives an *already-running* server by URL (the
-``repro-serve --connect`` load generator used by the CI transport smoke).
+Two drivers:
 
-:func:`run_open_loop` is the *open-loop* generator: it offers requests at
-a fixed arrival rate regardless of how the service is coping (the honest
-way to measure overload — a closed loop self-throttles and hides the
-knee), and :func:`run_capacity_sweep` runs it across a grid of replica
-counts × offered rates to produce the measured capacity model
-(``repro-serve --loadgen --sweep`` → ``BENCH_SERVING.json``): per-cell
-p50/p95/p99, shed fraction and achieved throughput, plus the per-pool
-*knee* — the highest offered rate the pool absorbs within SLO.
+:func:`run_load` fires a closed *burst* — every request at once, the
+arrival pattern micro-batching is built for — and returns a
+:class:`LoadReport`, optionally verifying every response against a
+direct :func:`repro.partition.coarsest_partition` call.  By default it
+builds a fresh :class:`~repro.serving.service.SolveService` (with
+``replica_mode="process"`` a
+:class:`~repro.serving.supervisor.ReplicaSupervisor` of child processes)
+and fires through the asyncio front end (``transport="inproc"``) or over
+a loopback ``"http"`` or ``"framed"`` ingress, optionally through a
+faults-disabled :class:`~repro.serving.chaos.ChaosTcpProxy`; these are the
+``serving`` benchmark rows (``BENCH_SERVING.json``).  Given ``url`` it
+drives an *already-running* server instead and snapshots that server's
+``/metrics`` (``repro-serve --connect``, the CI smokes' load generator).
+
+:func:`run_open_loop` is the *open-loop* generator: it offers requests to
+a caller-owned backend at the rates of a schedule of ``(rps, seconds)``
+phases no matter how the backend copes (a closed loop self-throttles and
+hides the knee), and reports per-phase admission, shedding and latency
+percentiles.  A cell of :func:`run_capacity_sweep` (the measured capacity
+model: per-cell p50/p95/p99, shed fraction, achieved throughput and each
+pool's *knee*) is a one-phase schedule against a fresh pool; a
+:func:`run_step_load` run is a two-phase schedule against a self-scaling
+:class:`~repro.serving.replicas.ReplicaSet`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,12 +40,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import QueueFullError, ServiceError
+from ..errors import ServiceError
 from ..graphs.generators import random_function, random_permutation, tree_heavy
 from ..partition import coarsest_partition, same_partition
+from .autoscale import AutoscalingPolicy, PoolController
+from .chaos import ChaosTcpProxy
+from .framing import FramedIngress, FramedServiceClient
 from .metrics import ServiceMetrics
+from .replicas import ReplicaSet
 from .requests import JobStatus, SolveRequest, SolveResponse
 from .service import SolveService
+from .supervisor import ReplicaSupervisor
+from .transport import HttpIngress, HttpServiceClient
 
 #: Transports :func:`run_load` can fire a burst through.
 TRANSPORTS = ("inproc", "http", "framed")
@@ -59,6 +65,11 @@ _FAMILIES = (
     ("permutation", lambda n, seed: random_permutation(n, num_labels=2, seed=seed)),
     ("tree_heavy", lambda n, seed: tree_heavy(n, num_labels=2, cycle_fraction=0.05, seed=seed)),
 )
+
+# Transport-level failures worth a fresh connection: dropped/reset
+# sockets, stuck reads, and corrupted HTTP response prefixes.
+_RETRIABLE = (ConnectionError, OSError, TimeoutError, FuturesTimeout,
+              http.client.HTTPException)
 
 
 def generate_requests(
@@ -85,12 +96,14 @@ def generate_requests(
 
 @dataclass
 class LoadReport:
-    """Outcome of one load-generator run."""
+    """Outcome of one :func:`run_load` burst."""
 
     responses: List[SolveResponse]
     metrics: ServiceMetrics
     wall_seconds: float
     config: Dict[str, object]
+    #: The server's ``/metrics`` document when the burst went to a ``url``.
+    server_metrics: Optional[Dict[str, object]] = None
     mismatches: List[int] = field(default_factory=list)  # request ids
     verified: Optional[bool] = None  # None = verification not requested
 
@@ -110,13 +123,12 @@ class LoadReport:
 
 def run_load(
     *,
+    url: Optional[str] = None,
     workers: int = 4,
     backend: str = "thread",
-    placement: str = "least_loaded",
     max_batch_size: int = 32,
     max_batch_delay: float = 0.002,
     queue_capacity: int = 1024,
-    mode: str = "packed",
     requests: int = 64,
     size: int = 256,
     seed: int = 0,
@@ -128,161 +140,134 @@ def run_load(
     replicas: int = 2,
     concurrency: int = 16,
     chaos_proxy: bool = False,
+    connect_retries: int = 0,
 ) -> LoadReport:
-    """Drive a fresh service with a synthetic burst and report the outcome.
+    """Fire a burst of ``requests`` concurrent solves and report the outcome.
 
-    All ``requests`` solve requests are fired concurrently (the realistic
-    arrival pattern for micro-batching: a burst, not a trickle), the
-    service is drained, and the final metrics snapshot is captured.  With
-    ``transport="inproc"`` the burst goes through the asyncio front end;
-    with ``"http"`` a loopback :class:`~repro.serving.transport.HttpIngress`
-    is booted around the service and the burst travels over real sockets
-    (``concurrency`` keep-alive client connections); with ``"framed"``
-    the loopback server is a :class:`~repro.serving.framing.FramedIngress`
-    and the clients speak the length-prefixed binary protocol.  With
-    ``replica_mode="process"`` the backend is a
-    :class:`~repro.serving.supervisor.ReplicaSupervisor` of ``replicas``
-    child OS processes instead of one in-process service (requires a
-    socket transport — a process backend with no wire makes no sense).
+    Without ``url`` a fresh backend is built from the service knobs, the
+    burst is fired, the backend drained and its final metrics captured.
+    ``transport="inproc"`` fires through the asyncio front end; ``"http"``
+    and ``"framed"`` boot a loopback ingress around the backend and fire
+    over real sockets (``concurrency`` keep-alive client connections).
+    ``replica_mode="process"`` makes the backend ``replicas`` supervised
+    child OS processes, and ``chaos_proxy`` rides the burst through a
+    faults-disabled chaos proxy, measuring the harness's own overhead.
+
+    With ``url`` (a socket ``transport``) the burst goes to that running
+    server; the service knobs are unused and ``metrics`` is parsed from
+    the server's ``/metrics``, kept whole as ``server_metrics``.
+    ``connect_retries`` re-sends a job whose connection dropped on a fresh
+    one, up to N times with linear delay: the server guarantees
+    exactly-once handling per admitted request, the retry only recovers
+    requests a chaos proxy (or real network) lost on the way.
+
     With ``verify`` every DONE response's labels are checked against a
     direct ``coarsest_partition`` call with the same algorithm and audit
-    flag.  With ``chaos_proxy`` (socket transports only) the burst rides
-    through a faults-disabled
-    :class:`~repro.serving.chaos.ChaosTcpProxy`, measuring the pure
-    byte-shoveling overhead of the chaos harness itself.
+    flag.
     """
     if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; choose from {TRANSPORTS}")
     if replica_mode not in REPLICA_MODES:
         raise ValueError(
             f"unknown replica_mode {replica_mode!r}; choose from {REPLICA_MODES}")
-    if replica_mode == "process" and transport == "inproc":
+    if transport == "inproc" and (url or replica_mode == "process" or chaos_proxy):
         raise ValueError(
-            "replica_mode='process' needs a socket transport "
-            "('http' or 'framed'); there is no in-process path to a child")
-    if chaos_proxy and transport == "inproc":
-        raise ValueError(
-            "chaos_proxy=True needs a socket transport ('http' or 'framed'); "
-            "there is no TCP stream to interpose on in-process")
+            "url, replica_mode='process' and chaos_proxy need a socket "
+            "transport ('http' or 'framed'); in-process has no wire")
     stream = generate_requests(requests, size, seed=seed, audit_mix=audit_mix)
     config: Dict[str, object] = {
-        "workers": workers,
-        "backend": backend,
-        "placement": placement,
-        "max_batch_size": max_batch_size,
-        "max_batch_delay": max_batch_delay,
-        "queue_capacity": queue_capacity,
-        "mode": mode,
         "requests": requests,
         "size": size,
         "seed": seed,
         "algorithm": algorithm,
         "audit_mix": audit_mix,
         "transport": transport,
-        "replica_mode": replica_mode,
     }
-    if replica_mode == "process":
-        config["replicas"] = replicas
-    if chaos_proxy:
-        config["chaos_proxy"] = True
+    framed = transport == "framed"
+    client_factory = FramedServiceClient if framed else HttpServiceClient
 
-    if replica_mode == "process":
-        from .supervisor import ReplicaSupervisor
+    if url is not None:
+        config.update(url=url, concurrency=concurrency, connect_retries=connect_retries)
+        start = time.perf_counter()
+        responses = _post_stream(
+            url, stream, algorithm, concurrency, client_factory, connect_retries)
+        wall = time.perf_counter() - start
 
-        service = ReplicaSupervisor(
-            replicas,
-            service_kwargs=dict(
-                workers=workers,
-                backend=backend,
-                placement=placement,
-                max_batch_size=max_batch_size,
-                max_batch_delay=max_batch_delay,
-                queue_capacity=queue_capacity,
-                mode=mode,
-                default_algorithm=algorithm,
-            ),
-            seed=seed,
-        ).start()
+        def scrape() -> Dict[str, object]:
+            with client_factory(url) as client:
+                return client.metrics()
+
+        server_metrics = _retrying(scrape, connect_retries)
+        report = LoadReport(
+            responses, ServiceMetrics.from_dict(server_metrics.get("metrics") or {}),
+            wall, config, server_metrics)
     else:
-        service = SolveService(
+        config.update(
             workers=workers,
             backend=backend,
-            placement=placement,
+            # The service's fixed shard placement and batch mode, recorded
+            # so documents stay comparable across versions.
+            placement="least_loaded",
+            mode="packed",
             max_batch_size=max_batch_size,
             max_batch_delay=max_batch_delay,
             queue_capacity=queue_capacity,
-            mode=mode,
-            default_algorithm=algorithm,
-            seed=seed,
+            replica_mode=replica_mode,
         )
-    ingress = None
-    proxy = None
-    client_factory = None
-    try:
-        if transport != "inproc":
-            # Boot the loopback server BEFORE the timer: the measured
-            # window is the wire cost of the burst, not thread/event-loop
-            # startup and teardown.
-            if transport == "framed":
-                from .framing import FramedIngress, FramedServiceClient
-
-                ingress = FramedIngress(service).start_in_thread()
-                client_factory = FramedServiceClient
-            else:
-                from .transport import HttpIngress
-
-                ingress = HttpIngress(service).start_in_thread()
-        url = None
-        if ingress is not None:
-            url = ingress.url
-            if chaos_proxy:
-                from .chaos import ChaosTcpProxy
-
-                proxy = ChaosTcpProxy((ingress.host, ingress.port)).start()
-                url = proxy.url
-        start = time.perf_counter()
-        if url is not None:
-            responses = _post_stream(
-                url, stream, algorithm, concurrency,
-                client_factory=client_factory)
+        service_kwargs = dict(
+            workers=workers,
+            backend=backend,
+            max_batch_size=max_batch_size,
+            max_batch_delay=max_batch_delay,
+            queue_capacity=queue_capacity,
+            default_algorithm=algorithm,
+        )
+        if replica_mode == "process":
+            config["replicas"] = replicas
+            service = ReplicaSupervisor(
+                replicas, service_kwargs=service_kwargs, seed=seed).start()
         else:
-            responses = asyncio.run(_fire(service, stream, algorithm))
-        service.drain()
-        wall = time.perf_counter() - start
-        metrics = service.metrics()
-    finally:
-        if proxy is not None:
-            proxy.close()
-        if ingress is not None:
-            ingress.close()
-        service.shutdown()
+            service = SolveService(seed=seed, **service_kwargs)
+        if chaos_proxy:
+            config["chaos_proxy"] = True
+        ingress = None
+        proxy = None
+        try:
+            if transport != "inproc":
+                # Boot the loopback server BEFORE the timer: the measured
+                # window is the wire cost of the burst, not thread/event-loop
+                # startup and teardown.
+                ingress = (FramedIngress if framed else HttpIngress)(service).start_in_thread()
+                url = ingress.url
+                if chaos_proxy:
+                    proxy = ChaosTcpProxy((ingress.host, ingress.port)).start()
+                    url = proxy.url
+            start = time.perf_counter()
+            if url is None:
+                responses = asyncio.run(_fire(service, stream, algorithm))
+            else:
+                responses = _post_stream(url, stream, algorithm, concurrency, client_factory)
+            service.drain()
+            wall = time.perf_counter() - start
+            metrics = service.metrics()
+        finally:
+            if proxy is not None:
+                proxy.close()
+            if ingress is not None:
+                ingress.close()
+            service.shutdown()
+        report = LoadReport(responses, metrics, wall, config)
 
-    report = LoadReport(
-        responses=responses,
-        metrics=metrics,
-        wall_seconds=wall,
-        config=config,
-    )
     if verify:
-        _verify(report, stream, algorithm)
+        report.verified = True
+        for (f, b, audit), response in zip(stream, report.responses):
+            if response.status is not JobStatus.DONE or not same_partition(
+                response.labels,
+                coarsest_partition(f, b, algorithm=algorithm, audit=audit).labels,
+            ):
+                report.verified = False
+                report.mismatches.append(response.request_id)
     return report
-
-
-def _verify(
-    report,  # LoadReport or WireLoadReport: responses/verified/mismatches
-    stream: Sequence[Tuple[np.ndarray, np.ndarray, bool]],
-    algorithm: str,
-) -> None:
-    report.verified = True
-    for (f, b, audit), response in zip(stream, report.responses):
-        if response.status is not JobStatus.DONE:
-            report.verified = False
-            report.mismatches.append(response.request_id)
-            continue
-        direct = coarsest_partition(f, b, algorithm=algorithm, audit=audit)
-        if not same_partition(response.labels, direct.labels):
-            report.verified = False
-            report.mismatches.append(response.request_id)
 
 
 async def _fire(
@@ -300,47 +285,44 @@ async def _fire(
     )
 
 
+def _retrying(call, retries: int, on_error=None):
+    """``call()``, re-tried up to ``retries`` times on a transport failure
+    with linear delay; ``on_error`` runs after each failure."""
+    attempt = 0
+    while True:
+        try:
+            return call()
+        except _RETRIABLE:
+            if on_error is not None:
+                on_error()
+            if attempt >= retries:
+                raise
+            attempt += 1
+            time.sleep(0.25 * attempt)
+
+
 def _post_stream(
     url: str,
     stream: Sequence[Tuple[np.ndarray, np.ndarray, bool]],
     algorithm: str,
     concurrency: int,
-    client_factory=None,
+    client_factory,
     connect_retries: int = 0,
-    retry_delay: float = 0.25,
 ) -> List[SolveResponse]:
     """Fire a burst at a running server, one keep-alive client per thread.
 
-    ``client_factory`` picks the wire protocol (default
-    :class:`~repro.serving.transport.HttpServiceClient`; pass
-    :class:`~repro.serving.framing.FramedServiceClient` for the binary
-    framing); anything callable as ``factory(url)`` yielding a
-    ``ServiceClientBase`` works.
-
-    ``connect_retries`` makes each job survive dropped connections: on a
-    transport-level failure the poisoned client is discarded and the job
-    is re-sent on a fresh connection, up to N times with linear delay.
-    That is what lets the chaos smoke drive a server through scheduled
-    resets and partitions — the *server* guarantees exactly-once handling
-    per admitted request; the retry only re-covers requests the transport
-    lost on the way in or out.
+    ``client_factory(url)`` yields a ``ServiceClientBase`` speaking the
+    wire protocol.  On a transport failure the poisoned client is
+    discarded and the job re-sent on a fresh connection, up to
+    ``connect_retries`` times.
     """
-    import http.client
-
-    from .transport import HttpServiceClient
-
-    # Transport-level failures worth a fresh connection: dropped/reset
-    # sockets, stuck reads, and corrupted HTTP response prefixes.
-    retriable = (ConnectionError, OSError, TimeoutError, FuturesTimeout,
-                 http.client.HTTPException)
-    factory = client_factory if client_factory is not None else HttpServiceClient
     local = threading.local()
     clients: List[object] = []
     clients_lock = threading.Lock()
 
     def client():
         if not hasattr(local, "client"):
-            local.client = factory(url)
+            local.client = client_factory(url)
             with clients_lock:
                 clients.append(local.client)
         return local.client
@@ -357,16 +339,9 @@ def _post_stream(
 
     def fire(item: Tuple[np.ndarray, np.ndarray, bool]) -> SolveResponse:
         f, b, audit = item
-        attempt = 0
-        while True:
-            try:
-                return client().solve(f, b, algorithm=algorithm, audit=audit)
-            except retriable:
-                discard_client()
-                if attempt >= connect_retries:
-                    raise
-                attempt += 1
-                time.sleep(retry_delay * attempt)
+        return _retrying(
+            lambda: client().solve(f, b, algorithm=algorithm, audit=audit),
+            connect_retries, discard_client)
 
     pool = ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(stream))))
     try:
@@ -377,82 +352,6 @@ def _post_stream(
             c.close()
 
 
-@dataclass
-class WireLoadReport:
-    """Outcome of :func:`run_wire_load` against a running server."""
-
-    responses: List[SolveResponse]
-    wall_seconds: float
-    config: Dict[str, object]
-    server_metrics: Optional[Dict[str, object]] = None
-    mismatches: List[int] = field(default_factory=list)
-    verified: Optional[bool] = None
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.responses if r.status is JobStatus.DONE)
-
-    @property
-    def all_done(self) -> bool:
-        return self.completed == len(self.responses)
-
-
-def run_wire_load(
-    url: str,
-    *,
-    requests: int = 64,
-    size: int = 256,
-    seed: int = 0,
-    algorithm: str = "jaja-ryu",
-    audit_mix: bool = True,
-    verify: bool = True,
-    concurrency: int = 16,
-    connect_retries: int = 0,
-) -> WireLoadReport:
-    """Drive an already-running serving endpoint over the wire.
-
-    This is the ``repro-serve --connect URL`` engine: it fires the same
-    deterministic stream :func:`run_load` uses, verifies DONE responses
-    against direct ``coarsest_partition`` calls, and snapshots the
-    *server's* ``/metrics`` document afterwards (the server is a separate
-    process, so its metrics are the only service-side observability).
-    ``connect_retries`` re-sends jobs whose connection a chaos proxy (or
-    real network) dropped — see :func:`_post_stream`.
-    """
-    from .transport import HttpServiceClient
-
-    stream = generate_requests(requests, size, seed=seed, audit_mix=audit_mix)
-    start = time.perf_counter()
-    responses = _post_stream(
-        url, stream, algorithm, concurrency, connect_retries=connect_retries
-    )
-    wall = time.perf_counter() - start
-    server_metrics = None
-    for attempt in range(connect_retries + 1):
-        try:
-            with HttpServiceClient(url) as client:
-                server_metrics = client.metrics()
-            break
-        except (ConnectionError, OSError, TimeoutError):
-            if attempt >= connect_retries:
-                raise
-            time.sleep(0.25 * (attempt + 1))
-    report = WireLoadReport(
-        responses=responses,
-        wall_seconds=wall,
-        config={
-            "url": url, "requests": requests, "size": size, "seed": seed,
-            "algorithm": algorithm, "audit_mix": audit_mix,
-            "concurrency": concurrency, "transport": "http",
-            "connect_retries": connect_retries,
-        },
-        server_metrics=server_metrics,
-    )
-    if verify:
-        _verify(report, stream, algorithm)
-    return report
-
-
 #: Priority classes the open-loop generator rotates through when
 #: ``priority_mix`` is on: scavenger (-2), best-effort (-1), default (0)
 #: and interactive (1) — the mix the brown-out ladder discriminates on.
@@ -460,160 +359,114 @@ OPEN_LOOP_PRIORITIES = (-2, -1, 0, 1)
 
 
 def run_open_loop(
+    backend,
+    schedule: Sequence[Tuple[float, float]],
     *,
-    replicas: int = 1,
-    rate_rps: float = 50.0,
-    duration: float = 2.0,
     size: int = 64,
     seed: int = 0,
-    workers: int = 2,
-    max_batch_size: int = 32,
-    max_batch_delay: float = 0.002,
-    queue_capacity: int = 64,
-    mode: str = "packed",
     algorithm: str = "jaja-ryu",
     priority_mix: bool = True,
     drain_timeout: float = 60.0,
-    backend=None,
 ) -> Dict[str, object]:
-    """Offer a fixed arrival rate to a pool and measure how it copes.
+    """Offer ``backend`` each ``(rps, seconds)`` phase of ``schedule``, open loop.
 
-    Open loop: the generator submits at the *offered* rate no matter how
-    slowly responses come back (never waiting on a result before sending
-    the next request), so saturation shows up as queueing, shedding and
-    latency growth instead of being silently absorbed by a self-throttling
-    client.  Admission rejections (queue-full backpressure and brown-out
-    floors) are *shed at the door*; everything admitted must settle — the
-    returned ``lost`` count is the number of admitted jobs that never
-    produced a response, and the overload-survival contract is that it is
-    always zero.
+    Phases run back to back; request ``i`` of a phase is sent ``i / rps``
+    seconds after the phase's scheduled start whether or not earlier
+    responses came back (a generator behind schedule fires at once, never
+    slower than offered), so saturation shows up as queueing, shedding
+    and latency growth instead of being absorbed by a self-throttling
+    client.  Admission rejections (queue-full backpressure, brown-out
+    floors) are shed at the door; everything admitted must settle, and
+    the generator waits up to ``drain_timeout`` for it.  The caller owns
+    ``backend`` (anything with ``submit_request(request, block=False)``
+    and ``on_response``) and its lifecycle.
 
-    Builds a fresh in-process pool (:class:`SolveService` for one replica,
-    :class:`~repro.serving.replicas.ReplicaSet` for more) unless an
-    already-running ``backend`` is supplied, in which case the caller owns
-    its lifecycle and ``replicas`` is only recorded in the row.
+    Returns ``started_at`` (the ``time.perf_counter()`` origin),
+    ``offered_wall_s``, ``wall_s`` (until the last admitted request
+    settled) and ``phases``, one dict per phase: ``rps``, ``seconds``,
+    ``start_s`` (scheduled offset); the counts ``offered``, ``admitted``,
+    ``rejected`` (at the door), ``completed``, ``failed`` (settled but
+    not done: shed after admission) and ``lost`` (admitted but never
+    settled; the overload contract is that it stays 0); ``p50_ms``,
+    ``p95_ms``, ``p99_ms`` over completed requests (``None`` if none);
+    and ``admitted_by_class`` / ``shed_by_class`` (rejected, by priority).
     """
-    total = max(1, int(round(rate_rps * duration)))
+    counts = [max(1, int(round(rps * seconds))) for rps, seconds in schedule]
     # A small rotating pool of instances keeps generation cost out of the
-    # arrival loop (the burst must not fall behind its own schedule just
-    # because numpy is busy building graphs).
-    distinct = min(total, 24)
+    # arrival loop (the generator must not fall behind its own schedule
+    # just because numpy is busy building graphs).
+    distinct = min(sum(counts), 24)
     instances = generate_requests(distinct, size, seed=seed, audit_mix=False)
-
-    own_backend = backend is None
-    if own_backend:
-        service_kwargs = dict(
-            workers=workers,
-            max_batch_size=max_batch_size,
-            max_batch_delay=max_batch_delay,
-            queue_capacity=queue_capacity,
-            mode=mode,
-            default_algorithm=algorithm,
-        )
-        if replicas > 1:
-            from .replicas import ReplicaSet
-
-            backend = ReplicaSet(replicas, seed=seed, **service_kwargs)
-        else:
-            backend = SolveService(seed=seed, **service_kwargs)
-
-    lock = threading.Lock()
-    latencies: List[float] = []
-    settled = [0]
-    done = [0]
-    failed = [0]
-    shed_by_class: Dict[int, int] = {}
-    admitted_by_class: Dict[int, int] = {}
-    all_settled = threading.Event()
-    admitted = 0
-    rejected = 0
-
-    try:
-        interval = 1.0 / float(rate_rps)
-        start = time.perf_counter()
-        for i in range(total):
-            # Open loop: sleep until this request's scheduled arrival; if
-            # the generator is behind schedule, fire immediately (never
-            # slower than offered).
-            target = start + i * interval
-            delay = target - time.perf_counter()
+    phases: List[Dict[str, object]] = []
+    latencies: List[List[float]] = []
+    settled = threading.Condition()
+    sent = 0
+    offset = 0.0
+    start = time.perf_counter()
+    for (rps, seconds), count in zip(schedule, counts):
+        phase: Dict[str, object] = {
+            "rps": float(rps), "seconds": float(seconds), "start_s": offset,
+            "offered": count, "admitted": 0, "rejected": 0, "completed": 0,
+            "failed": 0, "admitted_by_class": {}, "shed_by_class": {},
+        }
+        phases.append(phase)
+        lat: List[float] = []
+        latencies.append(lat)
+        for i in range(count):
+            delay = start + offset + i / float(rps) - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            f, b, _ = instances[i % distinct]
-            priority = OPEN_LOOP_PRIORITIES[i % len(OPEN_LOOP_PRIORITIES)] \
+            f, b, _ = instances[sent % distinct]
+            priority = OPEN_LOOP_PRIORITIES[sent % len(OPEN_LOOP_PRIORITIES)] \
                 if priority_mix else 0
+            sent += 1
             request = SolveRequest.make(
                 f, b, algorithm=algorithm, audit=False, priority=priority
             )
             sent_at = time.perf_counter()
             try:
                 backend.submit_request(request, block=False)
-            except QueueFullError:
-                rejected += 1
-                shed_by_class[priority] = shed_by_class.get(priority, 0) + 1
+            except ServiceError:  # queue full, brown-out floor, draining
+                phase["rejected"] += 1
+                by_class = phase["shed_by_class"]
+                by_class[priority] = by_class.get(priority, 0) + 1
                 continue
-            except ServiceError:
-                rejected += 1
-                shed_by_class[priority] = shed_by_class.get(priority, 0) + 1
-                continue
-            admitted += 1
-            admitted_by_class[priority] = admitted_by_class.get(priority, 0) + 1
+            phase["admitted"] += 1
+            by_class = phase["admitted_by_class"]
+            by_class[priority] = by_class.get(priority, 0) + 1
 
-            def _settle(response: SolveResponse, sent_at=sent_at) -> None:
-                with lock:
-                    settled[0] += 1
+            def _settle(response: SolveResponse, sent_at=sent_at, phase=phase,
+                        lat=lat) -> None:
+                with settled:
                     if response.status is JobStatus.DONE:
-                        done[0] += 1
-                        latencies.append(time.perf_counter() - sent_at)
+                        phase["completed"] += 1
+                        lat.append(time.perf_counter() - sent_at)
                     else:
-                        failed[0] += 1
+                        phase["failed"] += 1
+                    settled.notify_all()
 
             backend.on_response(request.request_id, _settle)
-        offered_wall = time.perf_counter() - start
+        offset += float(seconds)
+    offered_wall = time.perf_counter() - start
 
-        deadline = time.monotonic() + drain_timeout
-        while time.monotonic() < deadline:
-            with lock:
-                if settled[0] >= admitted:
-                    break
-            time.sleep(0.01)
+    def _unsettled(phase) -> int:
+        return phase["admitted"] - phase["completed"] - phase["failed"]
+
+    with settled:
+        settled.wait_for(lambda: not any(map(_unsettled, phases)), timeout=drain_timeout)
         wall = time.perf_counter() - start
-    finally:
-        if own_backend:
-            backend.shutdown(drain=True)
-
-    with lock:
-        lat = sorted(latencies)
-        num_done = done[0]
-        num_failed = failed[0]
-        num_settled = settled[0]
-
-    def _pct(q: float) -> Optional[float]:
-        if not lat:
-            return None
-        return round(1e3 * lat[min(len(lat) - 1, int(q * len(lat)))], 2)
-
-    shed = rejected + num_failed  # at the door + after admission (expiry)
-    return {
-        "replicas": int(replicas),
-        "offered_rps": round(float(rate_rps), 1),
-        "duration_s": round(float(duration), 2),
-        "requests": total,
-        "admitted": admitted,
-        "rejected": rejected,
-        "completed": num_done,
-        "shed": shed,
-        "shed_fraction": round(shed / total, 4),
-        "lost": admitted - num_settled,
-        "achieved_rps": round(num_done / wall, 1) if wall > 0 else 0.0,
-        "offered_wall_s": round(offered_wall, 3),
-        "wall_s": round(wall, 3),
-        "p50_ms": _pct(0.50),
-        "p95_ms": _pct(0.95),
-        "p99_ms": _pct(0.99),
-        "admitted_by_class": {str(k): v for k, v in sorted(admitted_by_class.items())},
-        "shed_by_class": {str(k): v for k, v in sorted(shed_by_class.items())},
-    }
+        rows = []
+        for phase, lat in zip(phases, latencies):
+            ordered = sorted(lat)
+            row = dict(phase, lost=_unsettled(phase))
+            for name, q in (("p50_ms", 0.50), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+                row[name] = (round(1e3 * ordered[min(len(ordered) - 1, int(q * len(ordered)))], 2)
+                             if ordered else None)
+            for key in ("admitted_by_class", "shed_by_class"):
+                row[key] = {str(k): v for k, v in sorted(phase[key].items())}
+            rows.append(row)
+    return {"started_at": start, "offered_wall_s": offered_wall, "wall_s": wall,
+            "phases": rows}
 
 
 def find_knee(
@@ -657,39 +510,64 @@ def run_capacity_sweep(
     """The measured capacity model: open-loop cells over a (pool size ×
     offered rate) grid, plus each pool's knee.
 
-    This is what sizes the autoscaler honestly: the knee column says how
-    much offered load one more replica actually buys, and the
-    ``overload`` rows (2× the knee) prove the admission layer sheds
-    lowest-priority-first instead of collapsing.  Returns a JSON-able
-    document with ``cells`` (one row per grid point) and ``pools`` (one
-    summary per replica count, knee included).
+    Each cell offers one rate for ``duration`` to a fresh in-process pool
+    (a :class:`SolveService` for one replica, a
+    :class:`~repro.serving.replicas.ReplicaSet` for more).  This is what
+    sizes the autoscaler honestly: the knee column says how much offered
+    load one more replica actually buys, and the overloaded cells prove
+    the admission layer sheds lowest-priority-first instead of
+    collapsing.  Returns a JSON-able document with ``cells`` (one row per
+    grid point) and ``pools`` (one summary per replica count, knee
+    included).
     """
     say = progress if progress is not None else (lambda *_: None)
     cells: List[Dict[str, object]] = []
     pools: List[Dict[str, object]] = []
     for replicas in replica_counts:
+        replicas = int(replicas)
         pool_cells: List[Dict[str, object]] = []
         for rate in rates_rps:
             say(f"[capacity] replicas={replicas} offered={rate:g} rps ...")
-            cell = run_open_loop(
-                replicas=int(replicas),
-                rate_rps=float(rate),
-                duration=duration,
-                size=size,
-                seed=seed,
-                workers=workers,
-                queue_capacity=queue_capacity,
-                algorithm=algorithm,
-                priority_mix=priority_mix,
-            )
-            pool_cells.append(cell)
-            cells.append(cell)
+            service_kwargs = dict(seed=seed, workers=workers,
+                                  queue_capacity=queue_capacity, default_algorithm=algorithm)
+            backend = (ReplicaSet(replicas, **service_kwargs) if replicas > 1
+                       else SolveService(**service_kwargs))
+            try:
+                result = run_open_loop(
+                    backend, [(float(rate), duration)], size=size, seed=seed,
+                    algorithm=algorithm, priority_mix=priority_mix)
+            finally:
+                backend.shutdown(drain=True)
+            phase = result["phases"][0]
+            shed = phase["rejected"] + phase["failed"]  # at the door + after admission
+            wall = result["wall_s"]
+            pool_cells.append({
+                "replicas": replicas,
+                "offered_rps": round(float(rate), 1),
+                "duration_s": round(float(duration), 2),
+                "requests": phase["offered"],
+                "admitted": phase["admitted"],
+                "rejected": phase["rejected"],
+                "completed": phase["completed"],
+                "shed": shed,
+                "shed_fraction": round(shed / phase["offered"], 4),
+                "lost": phase["lost"],
+                "achieved_rps": round(phase["completed"] / wall, 1) if wall > 0 else 0.0,
+                "offered_wall_s": round(result["offered_wall_s"], 3),
+                "wall_s": round(wall, 3),
+                "p50_ms": phase["p50_ms"],
+                "p95_ms": phase["p95_ms"],
+                "p99_ms": phase["p99_ms"],
+                "admitted_by_class": phase["admitted_by_class"],
+                "shed_by_class": phase["shed_by_class"],
+            })
+        cells.extend(pool_cells)
         knee = find_knee(
             pool_cells, slo_p99_ms=slo_p99_ms, max_shed_fraction=max_shed_fraction
         )
         lost = sum(int(c["lost"]) for c in pool_cells)
         pools.append({
-            "replicas": int(replicas),
+            "replicas": replicas,
             "knee_rps": knee,
             "lost": lost,
             "max_achieved_rps": max(float(c["achieved_rps"]) for c in pool_cells),
@@ -720,8 +598,6 @@ def run_step_load(
     size: int = 256,
     seed: int = 0,
     workers: int = 2,
-    max_batch_size: int = 32,
-    max_batch_delay: float = 0.002,
     queue_capacity: int = 48,
     min_replicas: int = 1,
     max_replicas: int = 4,
@@ -732,23 +608,21 @@ def run_step_load(
     priority_mix: bool = True,
     drain_timeout: float = 60.0,
 ) -> Dict[str, object]:
-    """One step-load run: offer ``base_rps`` for half of ``duration``,
-    then step to ``base_rps * step_factor`` for the second half, against
-    a self-scaling :class:`~repro.serving.replicas.ReplicaSet`.
+    """One step-load run: the two-phase schedule ``base_rps`` then
+    ``base_rps * step_factor``, half of ``duration`` each, against a
+    self-scaling :class:`~repro.serving.replicas.ReplicaSet`.
 
     ``mode`` selects the controller under test: ``"predictive"`` wires
-    the committed :class:`~repro.serving.autoscale.CapacityModel` into
+    the measured :class:`~repro.serving.autoscale.CapacityModel` into
     the :class:`~repro.serving.autoscale.PoolController` (feed-forward +
-    reactive), ``"reactive"`` runs the same policy with no model — the
-    PR 9 controller.  Both modes report when the pool first reached the
-    *model's* target for the stepped rate, so the A/B measures how much
-    earlier feed-forward gets there, and how many requests were shed at
-    the door during the transient.  The overload-survival contract holds
-    throughout: every admitted request settles (``lost`` must be 0).
+    reactive), ``"reactive"`` runs the same policy with no model.  Both
+    modes report when the pool first reached the *model's* target for
+    the stepped rate (a sampler records every pool-size change), so the
+    A/B measures how much earlier feed-forward gets there, and how many
+    requests were shed during the transient.  The overload-survival
+    contract holds throughout: every admitted request settles (``lost``
+    must be 0).
     """
-    from .autoscale import AutoscalingPolicy, PoolController
-    from .replicas import ReplicaSet
-
     if mode not in ("predictive", "reactive"):
         raise ValueError(f"mode must be 'predictive' or 'reactive', got {mode!r}")
     if capacity_model is None:
@@ -765,8 +639,6 @@ def run_step_load(
         min_replicas,
         seed=seed,
         workers=workers,
-        max_batch_size=max_batch_size,
-        max_batch_delay=max_batch_delay,
         queue_capacity=queue_capacity,
         default_algorithm=algorithm,
     )
@@ -784,135 +656,61 @@ def run_step_load(
         interval=tick_interval,
     )
 
-    phases = [(float(base_rps), duration / 2.0), (step_rps, duration / 2.0)]
-    total = sum(max(1, int(round(rate * secs))) for rate, secs in phases)
-    distinct = min(total, 24)
-    instances = generate_requests(distinct, size, seed=seed, audit_mix=False)
-
-    lock = threading.Lock()
-    settled = [0]
-    failed = [0]
-    phase_latencies: List[List[float]] = [[], []]
-    phase_stats = [
-        {"offered": 0, "admitted": 0, "rejected": 0} for _ in phases
-    ]
-    admitted = 0
-
-    # Pool-size timeline: (seconds since load start, active replicas) on
-    # every change, sampled off-thread so the arrival loop never blocks.
-    timeline: List[List[float]] = []
+    # Pool-size timeline: (perf_counter instant, active replicas) on every
+    # change, sampled off-thread so the arrival loop never blocks.
+    changes: List[Tuple[float, int]] = []
     sampler_stop = threading.Event()
-    load_start = [0.0]
 
     def _sample_pool() -> None:
         last = None
         while not sampler_stop.is_set():
             active = int(backend.active_replicas)
             if active != last:
-                timeline.append(
-                    [round(time.perf_counter() - load_start[0], 3), active]
-                )
+                changes.append((time.perf_counter(), active))
                 last = active
             sampler_stop.wait(tick_interval / 2.0)
 
     sampler = threading.Thread(target=_sample_pool, daemon=True)
     try:
         controller.start()
-        start = time.perf_counter()
-        load_start[0] = start
         sampler.start()
-        sent = 0
-        step_at = None
-        for phase_index, (rate, secs) in enumerate(phases):
-            phase_start = time.perf_counter()
-            if phase_index == 1:
-                step_at = phase_start - start
-            count = max(1, int(round(rate * secs)))
-            interval = 1.0 / rate
-            stats = phase_stats[phase_index]
-            latencies = phase_latencies[phase_index]
-            for i in range(count):
-                target = phase_start + i * interval
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                f, b, _ = instances[sent % distinct]
-                priority = OPEN_LOOP_PRIORITIES[sent % len(OPEN_LOOP_PRIORITIES)] \
-                    if priority_mix else 0
-                sent += 1
-                stats["offered"] += 1
-                request = SolveRequest.make(
-                    f, b, algorithm=algorithm, audit=False, priority=priority
-                )
-                sent_at = time.perf_counter()
-                try:
-                    backend.submit_request(request, block=False)
-                except (QueueFullError, ServiceError):
-                    stats["rejected"] += 1
-                    continue
-                stats["admitted"] += 1
-                admitted += 1
-
-                def _settle(response: SolveResponse, sent_at=sent_at,
-                            latencies=latencies) -> None:
-                    with lock:
-                        settled[0] += 1
-                        if response.status is JobStatus.DONE:
-                            latencies.append(time.perf_counter() - sent_at)
-                        else:
-                            failed[0] += 1
-
-                backend.on_response(request.request_id, _settle)
-        offered_wall = time.perf_counter() - start
-
-        deadline = time.monotonic() + drain_timeout
-        while time.monotonic() < deadline:
-            with lock:
-                if settled[0] >= admitted:
-                    break
-            time.sleep(0.01)
-        wall = time.perf_counter() - start
+        result = run_open_loop(
+            backend,
+            [(float(base_rps), duration / 2.0), (step_rps, duration / 2.0)],
+            size=size, seed=seed, algorithm=algorithm,
+            priority_mix=priority_mix, drain_timeout=drain_timeout,
+        )
     finally:
         sampler_stop.set()
         controller.stop()
         backend.shutdown(drain=True)
         sampler.join(timeout=5.0)
 
-    time_to_target = None
-    if step_at is not None:
-        for instant, active in timeline:
-            if active >= target_pool:
-                time_to_target = round(max(0.0, instant - step_at), 3)
-                break
-
-    def _pct(latencies: List[float], q: float) -> Optional[float]:
-        lat = sorted(latencies)
-        if not lat:
-            return None
-        return round(1e3 * lat[min(len(lat) - 1, int(q * len(lat)))], 2)
-
-    with lock:
-        num_failed = failed[0]
-        num_settled = settled[0]
+    pre, post = result["phases"]
+    timeline = [[round(max(0.0, instant - result["started_at"]), 3), active]
+                for instant, active in changes]
+    time_to_target = next(
+        (round(max(0.0, instant - post["start_s"]), 3)
+         for instant, active in timeline if active >= target_pool), None)
     ups = [e for e in backend.events() if e["event"] == "scale_up"]
     return {
         "mode": mode,
         "base_rps": round(float(base_rps), 1),
         "step_rps": round(step_rps, 1),
         "duration_s": round(float(duration), 2),
-        "requests": total,
+        "requests": pre["offered"] + post["offered"],
         "target_pool": target_pool,
         "time_to_target_s": time_to_target,
-        "sheds_pre": phase_stats[0]["rejected"],
-        "sheds_post": phase_stats[1]["rejected"] + num_failed,
-        "admitted": admitted,
-        "lost": admitted - num_settled,
+        "sheds_pre": pre["rejected"],
+        "sheds_post": post["rejected"] + pre["failed"] + post["failed"],
+        "admitted": pre["admitted"] + post["admitted"],
+        "lost": pre["lost"] + post["lost"],
         "final_pool": timeline[-1][1] if timeline else min_replicas,
         "scale_ups": len(ups),
-        "p99_pre_ms": _pct(phase_latencies[0], 0.99),
-        "p99_post_ms": _pct(phase_latencies[1], 0.99),
-        "offered_wall_s": round(offered_wall, 3),
-        "wall_s": round(wall, 3),
+        "p99_pre_ms": pre["p99_ms"],
+        "p99_post_ms": post["p99_ms"],
+        "offered_wall_s": round(result["offered_wall_s"], 3),
+        "wall_s": round(result["wall_s"], 3),
         "pool_timeline": timeline,
     }
 
@@ -930,7 +728,6 @@ def run_step_comparison(
     min_replicas: int = 1,
     max_replicas: int = 4,
     progress=None,
-    **kwargs,
 ) -> Dict[str, object]:
     """The predictive-vs-reactive A/B under one step-load profile.
 
@@ -955,7 +752,6 @@ def run_step_comparison(
             queue_capacity=queue_capacity,
             min_replicas=min_replicas,
             max_replicas=max_replicas,
-            **kwargs,
         )
         say(
             f"[step] mode={mode}: reached pool {row['final_pool']} "
@@ -986,7 +782,6 @@ def run_serving_benchmark(
     max_batch_size: int = 32,
     max_batch_delay: float = 0.002,
     backend: str = "thread",
-    mode: str = "packed",
     transports: Sequence[str] = TRANSPORTS,
     process_replicas: int = 2,
 ) -> List[Dict[str, object]]:
@@ -1019,7 +814,6 @@ def run_serving_benchmark(
                 backend=backend,
                 max_batch_size=max_batch_size,
                 max_batch_delay=max_batch_delay,
-                mode=mode,
                 requests=requests,
                 size=int(n),
                 seed=seed,

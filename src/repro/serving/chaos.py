@@ -213,11 +213,20 @@ class _ConnState:
 
 
 def _abrupt_close(sock: socket.socket) -> None:
-    """Close with SO_LINGER 0 so the peer sees a reset, not a FIN."""
+    """Close with SO_LINGER 0 so the peer sees a reset, not a FIN.
+
+    ``shutdown(SHUT_RD)`` comes first: the sibling pump may be blocked in
+    ``recv`` on this socket, and on Linux a plain ``close`` neither wakes
+    that ``recv`` nor sends the reset until it returns.
+    """
     try:
         sock.setsockopt(
             socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
         )
+    except OSError:
+        pass
+    try:
+        sock.shutdown(socket.SHUT_RD)
     except OSError:
         pass
     try:
@@ -333,6 +342,12 @@ class ChaosTcpProxy:
             return
         self._closed.set()
         if self._listener is not None:
+            # As in _abrupt_close: shutdown wakes the accept loop, a bare
+            # close would leave it blocked until the join timed out.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -3,8 +3,9 @@
 :class:`SolveService` wires the subsystem together::
 
     submit() ──> IngressQueue ──> MicroBatcher ──> WorkerPool ──> responses
-                 (backpressure,    (coalesce by     (sharded solve_batch)
-                  shed-on-deadline) compat key)
+                 (backpressure,    (coalesce by     (one packed solve_batch
+                  shed-on-deadline) compat key)      per batch, least-loaded
+                                                     shard)
 
 Usage (synchronous facade)::
 
@@ -21,7 +22,7 @@ Usage (asyncio)::
 
 Every request is answered with a :class:`~repro.serving.requests.SolveResponse`
 — including shed (deadline) and failed ones, whose ``status`` says so —
-and billed with its per-instance share of the batch it rode in.
+and billed with its proportional share of the packed batch it rode in.
 ``shutdown(drain=True)`` stops admission, flushes the queue through the
 batcher, and waits for in-flight batches, so accepted work is never lost.
 """
@@ -58,20 +59,16 @@ class SolveService:
     workers:
         Number of worker shards.
     backend:
-        ``"thread"`` (persistent per-worker machines, explicit placement)
+        ``"thread"`` (persistent per-worker machines, least-loaded shard)
         or ``"process"`` (true multi-core via a process pool).
-    placement:
-        ``"least_loaded"`` or ``"hash"`` — thread backend only.
     max_batch_size, max_batch_delay:
         Micro-batching knobs: a batch dispatches when it reaches
         ``max_batch_size`` requests or has been open ``max_batch_delay``
-        seconds, whichever comes first.
+        seconds, whichever comes first.  Every batch is solved as one
+        packed :func:`repro.partition.solve_batch` call (its instances
+        refined simultaneously, each billed its proportional share).
     queue_capacity:
         Ingress bound; beyond it, submits block (backpressure) or raise.
-    mode:
-        Sharding mode for :func:`repro.partition.solve_batch` (``"packed"``
-        refines a batch's instances simultaneously; ``"sequential"`` runs
-        them one after another with exact per-instance cost).
     default_algorithm, default_audit:
         Applied to requests that do not specify their own.
     seed:
@@ -98,11 +95,9 @@ class SolveService:
         *,
         workers: int = 4,
         backend: str = "thread",
-        placement: str = "least_loaded",
         max_batch_size: int = 32,
         max_batch_delay: float = 0.002,
         queue_capacity: int = 1024,
-        mode: str = "packed",
         default_algorithm: str = "jaja-ryu",
         default_audit: bool = True,
         seed: int = 0,
@@ -110,9 +105,6 @@ class SolveService:
         brownout_floors=(-1, 0),
         max_worker_backlog: Optional[int] = -1,
     ) -> None:
-        if mode not in ("packed", "sequential"):
-            raise ValueError(f"unknown mode {mode!r}; choose 'packed' or 'sequential'")
-        self.mode = mode
         self.default_algorithm = default_algorithm
         self.default_audit = bool(default_audit)
         self._metrics = MetricsRecorder()
@@ -122,7 +114,7 @@ class SolveService:
             brownout_thresholds=brownout_thresholds,
             brownout_floors=brownout_floors,
         )
-        self._pool = create_worker_pool(backend, workers, placement=placement, seed=seed)
+        self._pool = create_worker_pool(backend, workers, seed=seed)
         if max_worker_backlog == -1:
             max_worker_backlog = 2 * workers * max_batch_size
         self.max_worker_backlog = max_worker_backlog
@@ -322,7 +314,7 @@ class SolveService:
         """Batcher callback: route a coalesced batch to a worker shard."""
         dispatched_at = time.monotonic()
         try:
-            future = self._pool.submit(batch, self.mode)
+            future = self._pool.submit(batch)
         except BaseException as exc:  # pool shut down mid-flight
             self._fail_batch(batch, exc)
             return
@@ -341,8 +333,8 @@ class SolveService:
             batch.requests, outcome.result.results, outcome.result.per_instance
         ):
             # Bill each response its BatchItemReport share of the batch:
-            # exact measurements in sequential mode, proportional shares of
-            # the packed union otherwise (see repro.partition.batch).
+            # a proportional share of the packed union (see
+            # repro.partition.batch).
             billed = CostSummary(
                 time=report.time, work=report.work, charged_work=report.charged_work
             )

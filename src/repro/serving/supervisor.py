@@ -53,11 +53,9 @@ from .replicas import ReplicaSet
 _KWARG_FLAGS: Dict[str, str] = {
     "workers": "--workers",
     "backend": "--backend",
-    "placement": "--placement",
     "max_batch_size": "--batch-size",
     "max_batch_delay": "--batch-delay-ms",   # seconds -> ms at encode time
     "queue_capacity": "--queue-capacity",
-    "mode": "--mode",
     "default_algorithm": "--algorithm",
 }
 

@@ -7,10 +7,7 @@ Two backends share one interface (:meth:`WorkerPool.submit` returning a
     One daemon thread per shard, each driving its own persistent
     :class:`~repro.pram.machine.Machine` (so per-worker PRAM ledgers
     accumulate across batches and the service can report aggregate charged
-    cost).  Placement is explicit: ``"least_loaded"`` routes each batch to
-    the shard with the fewest queued instances, ``"hash"`` consistently
-    hashes the batch's compat key so a given request class always lands on
-    the same shard (cache-friendly, deterministic).
+    cost).  Each batch goes to the shard with the fewest queued instances.
 
 ``"process"``
     A :class:`concurrent.futures.ProcessPoolExecutor` for true multi-core
@@ -19,14 +16,15 @@ Two backends share one interface (:meth:`WorkerPool.submit` returning a
     shipped back.  Placement is delegated to the executor; per-batch cost
     is still exact because a fresh machine's ledger *is* the batch delta.
 
-The NumPy kernels release the GIL only partially, so the thread backend
-mostly interleaves; its value is shard isolation and deterministic
-placement.  Use the process backend when host-level throughput matters.
+Both backends solve a batch as one ``mode="packed"``
+:func:`repro.partition.solve_batch` call.  The NumPy kernels release the
+GIL only partially, so the thread backend mostly interleaves; its value
+is shard isolation and persistent ledgers.  Use the process backend when
+host-level throughput matters.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import queue as _queue_mod
 import threading
@@ -41,7 +39,6 @@ from ..pram.machine import Machine
 from ..types import CostSummary
 from .batcher import Batch
 
-PLACEMENTS = ("least_loaded", "hash")
 BACKENDS = ("thread", "process")
 
 
@@ -75,14 +72,14 @@ class WorkerStats:
         }
 
 
-def _run_batch(batch: Batch, mode: str, machine: Optional[Machine]) -> BatchResult:
-    """Execute one coalesced batch (shared by both backends)."""
+def _run_batch(batch: Batch, machine: Optional[Machine]) -> BatchResult:
+    """Execute one coalesced batch on the thread backend."""
     return solve_batch(
         [r.instance for r in batch.requests],
         algorithm=batch.algorithm,
         machine=machine,
         audit=batch.audit,
-        mode=mode,
+        mode="packed",
         **batch.params,
     )
 
@@ -99,14 +96,14 @@ def _solve_in_process(payload):
 
     from ..partition.problem import SFCPInstance
 
-    arrays, algorithm, audit, mode, params, seed = payload
+    arrays, algorithm, audit, params, seed = payload
     instances = [SFCPInstance.from_arrays(f, b) for f, b in arrays]
     result = solve_batch(
         instances,
         algorithm=algorithm,
         machine=Machine.default(seed=seed),
         audit=audit,
-        mode=mode,
+        mode="packed",
         **params,
     )
     return os.getpid(), result
@@ -117,7 +114,7 @@ class WorkerPool:
 
     num_workers: int
 
-    def submit(self, batch: Batch, mode: str) -> "Future[BatchOutcome]":
+    def submit(self, batch: Batch) -> "Future[BatchOutcome]":
         raise NotImplementedError
 
     def shutdown(self, *, wait: bool = True) -> None:
@@ -159,13 +156,13 @@ class _Shard(threading.Thread):
             item = self.jobs.get()
             if item is None:
                 return
-            batch, mode, future, on_done = item
+            batch, future, on_done = item
             if not future.set_running_or_notify_cancel():
                 on_done(batch)
                 continue
             start = time.monotonic()
             try:
-                result = _run_batch(batch, mode, self.machine)
+                result = _run_batch(batch, self.machine)
             except BaseException as exc:  # propagate through the future
                 future.set_exception(exc)
             else:
@@ -178,32 +175,23 @@ class _Shard(threading.Thread):
 
 
 class ThreadedWorkerPool(WorkerPool):
-    """Sharded in-process pool with explicit placement."""
+    """Sharded in-process pool routing each batch to its least-loaded shard."""
 
-    def __init__(self, num_workers: int, *, placement: str = "least_loaded", seed: int = 0) -> None:
+    def __init__(self, num_workers: int, *, seed: int = 0) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {placement!r}; choose from {PLACEMENTS}")
         self.num_workers = int(num_workers)
-        self.placement = placement
         self._lock = threading.Lock()
         self._shards = [_Shard(i, seed=seed + i) for i in range(self.num_workers)]
         for shard in self._shards:
             shard.start()
         self._closed = False
 
-    def _pick(self, batch: Batch) -> _Shard:
-        if self.placement == "hash":
-            digest = hashlib.blake2b(repr(batch.key).encode(), digest_size=8).digest()
-            return self._shards[int.from_bytes(digest, "big") % self.num_workers]
-        return min(self._shards, key=lambda s: (s.pending_instances, s.worker_id))
-
-    def submit(self, batch: Batch, mode: str) -> "Future[BatchOutcome]":
+    def submit(self, batch: Batch) -> "Future[BatchOutcome]":
         with self._lock:
             if self._closed:
                 raise ServiceError("worker pool is shut down")
-            shard = self._pick(batch)
+            shard = min(self._shards, key=lambda s: (s.pending_instances, s.worker_id))
             shard.pending_instances += len(batch)
         future: "Future[BatchOutcome]" = Future()
 
@@ -211,7 +199,7 @@ class ThreadedWorkerPool(WorkerPool):
             with self._lock:
                 shard.pending_instances -= len(done_batch)
 
-        shard.jobs.put((batch, mode, future, on_done))
+        shard.jobs.put((batch, future, on_done))
         return future
 
     def shutdown(self, *, wait: bool = True) -> None:
@@ -258,12 +246,11 @@ class ProcessWorkerPool(WorkerPool):
         self._pid_to_id: Dict[int, int] = {}
         self._pending_instances = 0
 
-    def submit(self, batch: Batch, mode: str) -> "Future[BatchOutcome]":
+    def submit(self, batch: Batch) -> "Future[BatchOutcome]":
         payload = (
             [(r.instance.function, r.instance.initial_labels) for r in batch.requests],
             batch.algorithm,
             batch.audit,
-            mode,
             batch.params,
             self.seed,
         )
@@ -316,16 +303,10 @@ class ProcessWorkerPool(WorkerPool):
             return self._totals
 
 
-def create_worker_pool(
-    backend: str,
-    num_workers: int,
-    *,
-    placement: str = "least_loaded",
-    seed: int = 0,
-) -> WorkerPool:
+def create_worker_pool(backend: str, num_workers: int, *, seed: int = 0) -> WorkerPool:
     """Build the configured backend (see the module docstring)."""
     if backend == "thread":
-        return ThreadedWorkerPool(num_workers, placement=placement, seed=seed)
+        return ThreadedWorkerPool(num_workers, seed=seed)
     if backend == "process":
         return ProcessWorkerPool(num_workers, seed=seed)
     raise ValueError(f"unknown worker backend {backend!r}; choose from {BACKENDS}")

@@ -13,6 +13,7 @@ host that is alive but too slow to keep in placement.
 import json
 import socket
 import time
+from http.client import HTTPException
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.partition import coarsest_partition
 from repro.serving import (
     FramedIngress,
     FramedServiceClient,
+    HttpServiceClient,
     JobStatus,
     SolveRequest,
     SolveService,
@@ -112,6 +114,45 @@ def test_chaos_socket_scheduled_reset_and_corruption():
     finally:
         left.close()
         right.close()
+
+
+# ----------------------------------------------------------------------
+# proxy: a fault on the response reaches the client at once
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fault", ["reset", "blackhole"])
+@pytest.mark.parametrize(
+    "client_cls", [HttpServiceClient, FramedServiceClient], ids=["http", "framed"]
+)
+def test_server_to_client_fault_is_a_prompt_connection_error(fault, client_cls):
+    """A reset or blackhole that fires server->client drops the client's
+    connection at once, instead of leaving the client to wait out its
+    timeout while the proxy's other pump still holds the socket.
+
+    One solve of n = 2 sends under 300 bytes up (167 over HTTP, 71
+    framed) and gets more than 300 back, so a fault scheduled at byte 300
+    fires on the response.
+    """
+    backend = SolveService(workers=1, max_batch_delay=0.001)
+    ingress = FramedIngress(backend).start_in_thread()
+    schedule = ChaosSchedule(
+        f"server-to-client-{fault}",
+        faults=(fault,),
+        every=1,
+        reset_window=(300, 301),
+        blackhole_window=(300, 301),
+        blackhole_duration=(0.05, 0.06),
+    )
+    try:
+        with ChaosTcpProxy(f"{ingress.host}:{ingress.port}", schedule=schedule) as proxy:
+            with client_cls(proxy.url, timeout=10.0) as client:
+                started = time.monotonic()
+                with pytest.raises((ConnectionError, HTTPException)):
+                    client.solve([0, 0], [1, 1])
+                elapsed = time.monotonic() - started
+    finally:
+        ingress.close()
+        backend.shutdown()
+    assert elapsed < 2.0
 
 
 # ----------------------------------------------------------------------
