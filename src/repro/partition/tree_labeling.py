@@ -15,11 +15,19 @@ After the cycle nodes are labelled, the tree nodes split into two groups:
 
 Implementation notes (cost accounting): steps 1–4 are realised with the
 Euler-tour weighted-level primitive, so they charge the paper's O(log n)
-time / O(n) work.  Step 5 is realised as BB-table doubling over the
-residual forest, which incurs Θ(R log R) operations for a residual forest
-of size R; the published O(R) bound (Kedem–Palem [15]) is recorded through
+time / O(n) work.  Step 5 is charged as BB-table doubling over the
+residual forest, which incurs Θ(n log D) operations for a residual forest
+of depth D; the published O(R) bound (Kedem–Palem [15]) is recorded through
 the cost adapter exactly like the integer-sorting substitution (DESIGN.md
-§2), so both figures appear in the accounting and in the E9 ablation.
+§2), so both figures appear in the accounting and in the E9 ablation.  The
+host no longer runs that doubling on the default path: the
+:func:`~repro.pram.kernels.residual_forest_classes` kernel classes the
+residual nodes outward from their absorbers in O(n) host work, and the
+doubling loop's codes and charges follow from the forest's depth in
+closed form, so every label and charged figure is unchanged.  The loop
+itself stays as :func:`_label_residual_forest_reference`: the parity
+reference, and the path for a RANDOM winner, for models whose audit
+validates writes, and for forests that are deep relative to ``n``.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.functional_graph import validate_function
+from ..pram.kernels import residual_forest_classes
 from ..pram.machine import Machine
 from ..pram.metrics import CostCounter, log_time_bound
+from ..pram.models import ArbitraryWinner
 from ..primitives.euler_tour import forest_structure, vertex_levels_from_tree
 from ..primitives.integer_sort import SortCostModel, rank_values
 from ..types import as_int_array
@@ -131,7 +141,7 @@ def label_tree_nodes(
         residual_size = int(residual.sum())
         if residual_size:
             new_codes = _label_residual_forest(
-                f, labels_b, q_labels, residual, m, cost_model
+                f, labels_b, q_labels, residual, level, m, cost_model
             )
             m.tick(residual_size)
             dense, num_new = rank_values(new_codes, machine=m, cost_model=cost_model)
@@ -146,7 +156,80 @@ def label_tree_nodes(
     )
 
 
+#: The host kernel runs only when the forest has at least this many nodes
+#: per Euler level of its deepest residual node (``n >= 128 * max level``).
+#: Its cost is O(n) plus a fixed ~7 us per level, against the doubling
+#: loop's O(n log D).  Measured on a 2-core x86-64 VM at n = 2^10..2^18, it
+#: lost by up to 17% at 64 nodes per level and won by 12-69% at 128
+#: (PERFORMANCE.md, "Residual forest on the host").
+_HOST_MIN_NODES_PER_LEVEL = 128
+
+
 def _label_residual_forest(
+    f: np.ndarray,
+    labels_b: np.ndarray,
+    q_labels: np.ndarray,
+    residual: np.ndarray,
+    level: np.ndarray,
+    machine: Machine,
+    cost_model: SortCostModel,
+) -> np.ndarray:
+    """Codes for the residual-forest nodes: equal code iff equal Q-label.
+
+    Returns the codes of :func:`_label_residual_forest_reference` bit for
+    bit and charges the same adapter figures, without running its
+    BB-table doubling on the host.  That loop runs ``r0 + 1`` rounds, with
+    ``r0 = max(1, ceil(log2 D))`` for the deepest residual depth ``D``
+    (it stops one round after every pointer reached an absorber), each
+    round costing ``3n`` work in 3 rounds after an initial ``n``-work
+    round.  Its final round leaves each node the code ``absorber_space +
+    r0 * n`` plus the index of its class's winning writer: the lowest
+    node index of the class under a FIRST winner, the highest under LAST
+    — which :func:`~repro.pram.kernels.residual_forest_classes` computes
+    in O(n) host work.  The reference runs instead wherever its errors
+    must surface (an audit that validates writes, labels its pair keys
+    cannot encode), for a RANDOM winner, and for forests deep relative to
+    ``n``.
+    """
+    n = len(f)
+    model = machine.model
+    winner = model.write.winner
+    validates = machine.audit and (
+        not model.write.allow_concurrent
+        or model.write.require_common_value
+        or not model.read.allow_concurrent
+    )
+    absorber_space = int(labels_b.max()) + int(q_labels.max()) + 3
+    max_level = int(level[residual].max())
+    # The loop raises where its pair keys leave int64 (or go negative); its
+    # codes stay below absorber_space + (r0 + 1) * n, and D <= max_level.
+    widest_code = absorber_space + (max(1, (max_level - 1).bit_length()) + 1) * n
+    if (
+        winner is ArbitraryWinner.RANDOM
+        or validates
+        or int(labels_b.min()) < 0
+        or widest_code**2 > np.iinfo(np.int64).max
+        or n < _HOST_MIN_NODES_PER_LEVEL * max_level
+    ):
+        return _label_residual_forest_reference(
+            f, labels_b, q_labels, residual, machine, cost_model
+        )
+    representative, deepest = residual_forest_classes(
+        f, labels_b, q_labels, residual, level, last=winner is ArbitraryWinner.LAST
+    )
+    r = len(representative)
+    r0 = max(1, (deepest - 1).bit_length())
+    machine.counter.charge_adapter(
+        incurred_work=n + 3 * n * (r0 + 1),
+        incurred_rounds=1 + 3 * (r0 + 1),
+        charged_work=4 * max(1, r),
+        charged_rounds=log_time_bound(max(2, r), 2.0),
+        label="residual_forest_labeling",
+    )
+    return absorber_space + r0 * n + representative
+
+
+def _label_residual_forest_reference(
     f: np.ndarray,
     labels_b: np.ndarray,
     q_labels: np.ndarray,
@@ -154,12 +237,13 @@ def _label_residual_forest(
     machine: Machine,
     cost_model: SortCostModel,
 ) -> np.ndarray:
-    """Codes for the residual-forest nodes: equal code iff equal Q-label.
+    """BB-table pointer doubling over the residual forest (Lemma 4.2 /
+    Section 3.2 technique): the executable spec of
+    :func:`_label_residual_forest`.
 
-    BB-table pointer doubling over the residual forest (Lemma 4.2 /
-    Section 3.2 technique).  Runs on a sub-counter; the published
-    Kedem–Palem O(R) work bound is charged through the adapter while the
-    incurred Θ(R log R) operations are preserved for the ablation.
+    Runs on a sub-counter; the published Kedem–Palem O(R) work bound is
+    charged through the adapter while the incurred Θ(n log D) operations
+    are preserved for the ablation.
     """
     n = len(f)
     sub = Machine(machine.model, counter=CostCounter(), audit=machine.audit)

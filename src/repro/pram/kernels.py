@@ -35,6 +35,12 @@ contracts each cycle to ~``n / log n`` rulers, min-labels the contracted
 permutation by pointer doubling, and expands — O(n) host operations
 instead of the O(n log n) full-array doubling it replaces.
 
+:func:`residual_forest_classes` does the same for the residual forest of
+tree labeling (Lemma 4.2): it classes every residual node outward from
+the labelled nodes the residual trees hang from, one depth level at a
+time, in O(n) host operations plus O(1) NumPy calls per level, instead of
+the Θ(n log D) BB-table doubling over all ``n`` nodes.
+
 Kernel selection threads through :class:`repro.pram.machine.Machine`
 (``Machine(sort_kernel="argsort")``); machines built without an explicit
 kernel use the process default, settable via :func:`set_default_sort_kernel`
@@ -195,11 +201,17 @@ def grouped_sort(
     else:
         order = sort_indices(keys, key_bound, kernel=kernel)
     sorted_keys = keys[order]
-    is_first = np.empty(n, dtype=bool)
-    if n:
+    starts, is_first = _group_starts(sorted_keys)
+    return order, sorted_keys, starts, is_first
+
+
+def _group_starts(sorted_keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(starts, is_first)`` of the runs of equal keys in ``sorted_keys``."""
+    is_first = np.empty(len(sorted_keys), dtype=bool)
+    if len(sorted_keys):
         is_first[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_first[1:])
-    return order, sorted_keys, np.flatnonzero(is_first), is_first
+    return np.flatnonzero(is_first), is_first
 
 
 def winner_positions(starts: np.ndarray, total: int, *, first: bool) -> np.ndarray:
@@ -311,3 +323,102 @@ def _cycle_min_labels(successor: np.ndarray) -> np.ndarray:
             uncovered, sub_succ, int(np.ceil(np.log2(max(2, u)))) + 2
         )
     return label
+
+
+# ----------------------------------------------------------------------
+# residual-forest labeling (tree labeling, Lemma 4.2)
+# ----------------------------------------------------------------------
+def residual_forest_classes(
+    function: np.ndarray,
+    labels: np.ndarray,
+    absorber_labels: np.ndarray,
+    residual: np.ndarray,
+    level: np.ndarray,
+    *,
+    last: bool = False,
+) -> "tuple[np.ndarray, int]":
+    """Lemma 4.2 class of every residual node, and the forest's depth.
+
+    ``residual`` masks the nodes still to be labelled; every other node
+    is an *absorber* carrying its label in ``absorber_labels``, and each
+    residual tree hangs from one.  By Lemma 4.2 two residual nodes are
+    equivalent iff their root-path strings of ``labels`` are equal and
+    the absorbers at the ends of those paths carry the same label —
+    which makes equivalent nodes lie at the same *residual depth* (the
+    number of residual nodes on the path, the node included).  Returns
+    ``(representative, deepest)``: per residual node in ascending node
+    order, the lowest node index of its class (the highest with
+    ``last=True``), and the largest residual depth.
+
+    Profiled runs attribute this kernel to the ``[kernel] residual_forest``
+    row.  Two passes, each over the nodes bucketed by one O(n) counting
+    sort:
+
+    1. by Euler ``level`` (distance to the cycle; a node's parent lies
+       one level up), so the residual depth is one gather per level:
+       ``depth(x) = depth(f(x)) + 1``, with absorbers at depth 0;
+    2. by residual depth, outward from the absorbers: a node's class is
+       keyed by its label and its parent's class (its absorber's label
+       at depth 1), and one sort per depth dedupes the keys.
+
+    Classes must be numbered per residual depth, not per Euler level:
+    residual trees that hang from inherited tree nodes at different
+    levels share classes.  Host work is O(n) plus O(1) NumPy calls per
+    level, so the caller keeps forests that are deep relative to ``n``
+    on the doubling loop.  Charges nothing: the caller charges the
+    closed-form figures of the loop this replaces.
+    """
+    with kernel_timing("residual_forest"):
+        return _residual_forest_classes(
+            function, labels, absorber_labels, residual, level, last
+        )
+
+
+def _bucket(keys: np.ndarray) -> "tuple[np.ndarray, List[int]]":
+    """Node ids stably counting-sorted by ``keys``, and the bucket bounds."""
+    bound = int(keys.max()) + 1
+    bounds = np.zeros(bound + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=bound), out=bounds[1:])
+    return radix_kernel(keys, bound), bounds.tolist()
+
+
+def _residual_forest_classes(
+    function: np.ndarray,
+    labels: np.ndarray,
+    absorber_labels: np.ndarray,
+    residual: np.ndarray,
+    level: np.ndarray,
+    last: bool,
+) -> "tuple[np.ndarray, int]":
+    n = len(function)
+    # Both passes bucket all n nodes, the absorbers into bucket 0, so every
+    # large array here has the solve's common length n: arrays of the
+    # residual count instead left holes the allocator kept across solves.
+    by_level, level_bounds = _bucket(np.where(residual, level, 0))
+    depth = np.zeros(n, dtype=np.int64)
+    for lo, hi in zip(level_bounds[1:], level_bounds[2:]):
+        if hi > lo:
+            nodes = by_level[lo:hi]
+            depth[nodes] = depth[function[nodes]] + 1
+    del by_level
+    by_depth, depth_bounds = _bucket(depth)
+    del depth
+
+    # A node's class is named by its representative's index (< n); an
+    # absorber's "class" is n + its label, so one key formula serves every
+    # depth: label * span + class of the parent.
+    span = n + int(absorber_labels.max()) + 1
+    key_bound = (int(labels.max()) + 1) * span
+    cls = absorber_labels + n
+    for lo, hi in zip(depth_bounds[1:], depth_bounds[2:]):
+        nodes = by_depth[lo:hi]
+        if hi - lo <= 1:
+            cls[nodes] = nodes
+            continue
+        key = labels[nodes] * span + cls[function[nodes]]
+        order = radix_kernel(key, key_bound)
+        nodes = nodes[order]
+        starts, _ = _group_starts(key[order])
+        reps = nodes[winner_positions(starts, hi - lo, first=not last)]
+        cls[nodes] = np.repeat(reps, np.diff(np.append(starts, hi - lo)))
+    return cls[residual], len(depth_bounds) - 2

@@ -96,11 +96,16 @@ class SpanWallProfile:
 
     def _enter(self, path: str, rec: SpanRecord) -> None:
         self._stack().append(
-            [_time.perf_counter(), 0.0, rec.time, rec.work, rec.charged_work]
+            [_time.perf_counter(), 0.0, rec.time, rec.work, rec.charged_work, path]
         )
 
+    def _open_path(self) -> Optional[str]:
+        """Path of the innermost span open on this thread, if any."""
+        stack = self._stack()
+        return stack[-1][5] if stack else None
+
     def _exit(self, path: str, rec: SpanRecord) -> None:
-        t0, child_wall, time0, work0, charged0 = self._stack().pop()
+        t0, child_wall, time0, work0, charged0, _path = self._stack().pop()
         elapsed = _time.perf_counter() - t0
         if self._stack():
             self._stack()[-1][1] += elapsed
@@ -158,18 +163,20 @@ def kernel_timing(kernel: str) -> Iterator[None]:
     """Attribute the block's wall seconds to a ``[kernel] <name>`` row.
 
     Used by :mod:`repro.pram.kernels` so profiled runs show where time
-    goes *per host kernel* next to the per-span rows.  The row behaves
-    like a child span of whatever span is open on this thread (its
-    seconds are excluded from the enclosing span's exclusive time), but
-    charges nothing — kernels run under the cost adapter, so their
-    charged columns are always zero.  Zero overhead when profiling is
-    off.
+    goes *per host kernel* next to the per-span rows.  The row is a child
+    of whatever span is open on this thread: its path is that span's path
+    plus ``/[kernel] <name>`` (plain ``[kernel] <name>`` when none is
+    open), and its seconds are excluded from the enclosing span's
+    exclusive time, so a span's rows sum to its wall time.  It charges
+    nothing — kernels run under the cost adapter, so their charged
+    columns are always zero.  Zero overhead when profiling is off.
     """
     profiler = _active_wall_profiler
     if profiler is None:
         yield
         return
-    path = f"[kernel] {kernel}"
+    parent = profiler._open_path()
+    path = f"[kernel] {kernel}" if parent is None else f"{parent}/[kernel] {kernel}"
     record = SpanRecord(path)
     profiler._enter(path, record)
     try:

@@ -331,8 +331,12 @@ def test_cli_profile_reports_per_kernel_rows(tmp_path):
     assert rc == 0
     document = json.loads((tmp_path / "BENCH_PROFILE.json").read_text())
     assert document["sort_kernel"] == "radix"
-    span_names = [row["span"] for row in document["spans"]]
-    assert any(name.startswith("[kernel] ") for name in span_names)
-    kernel_rows = [row for row in document["spans"] if row["span"].startswith("[kernel] ")]
+    # kernel rows nest under the span that ran them: ".../[kernel] radix"
+    kernel_rows = [
+        row for row in document["spans"]
+        if row["span"].rsplit("/", 1)[-1].startswith("[kernel] ")
+    ]
+    assert kernel_rows
+    assert all(row["span"] != "[kernel] radix" for row in kernel_rows)
     # kernels run under the cost adapter: wall seconds, but zero charged cost
     assert all(row["work"] == 0 and row["charged_work"] == 0 for row in kernel_rows)

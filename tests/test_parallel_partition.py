@@ -153,6 +153,41 @@ def test_jaja_ryu_agreement_property(n, seed, num_labels):
     assert same_partition(jaja_ryu_partition(f, b).labels, expect)
 
 
+@pytest.mark.parametrize(
+    "family,n,seed,host_kernel",
+    [
+        # a random recursive tree is shallow: the residual-forest host kernel
+        ("tree", 1 << 12, 0, True),
+        ("tree", 1 << 14, 1, True),
+        ("tree", 1 << 16, 2, True),
+        # a random function's trees are ~sqrt(n) deep: the doubling loop
+        ("function", 1 << 12, 3, False),
+        ("function", 1 << 14, 4, False),
+        ("function", 1 << 16, 5, False),
+        ("chains", 1 << 12, 6, False),
+    ],
+)
+def test_jaja_ryu_agrees_with_linear_at_scale(family, n, seed, host_kernel, monkeypatch):
+    """Answers at the sizes the solver is benchmarked at, on both sides of
+    tree labeling's depth crossover (the property test stops at n = 40)."""
+    from repro.partition import tree_labeling
+
+    if family == "function":
+        f, b = random_function(n, num_labels=3, seed=seed)
+    else:
+        f, b = tree_heavy(n, num_labels=3, chain_bias=0.9 if family == "chains" else 0.5, seed=seed)
+    calls = []
+    kernel = tree_labeling.residual_forest_classes
+    monkeypatch.setattr(
+        tree_labeling,
+        "residual_forest_classes",
+        lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs),
+    )
+    ours = jaja_ryu_partition(f, b)
+    assert bool(calls) is host_kernel
+    assert same_partition(ours.labels, coarsest_partition(f, b, algorithm="paige-tarjan-bonic").labels)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 10**6))
 def test_permutation_only_instances_property(n, seed):

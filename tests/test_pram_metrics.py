@@ -181,6 +181,36 @@ def test_wall_profiling_aggregates_exclusive_span_seconds():
     assert rows[0]["span"] == "outer/inner"
 
 
+def test_kernel_rows_nest_under_the_open_span():
+    from repro.pram.metrics import kernel_timing, wall_profiling
+
+    with wall_profiling() as profile:
+        with kernel_timing("k"):
+            pass
+        c = CostCounter()
+        with c.span("outer"):
+            with c.span("inner"):
+                with kernel_timing("k"):
+                    with kernel_timing("j"):
+                        pass
+            with kernel_timing("k"):
+                pass
+    spans = profile.spans
+    assert set(spans) == {
+        "[kernel] k",
+        "outer",
+        "outer/inner",
+        "outer/inner/[kernel] k",
+        "outer/inner/[kernel] k/[kernel] j",
+        "outer/[kernel] k",
+    }
+    assert all(
+        spans[path]["work"] == 0 and spans[path]["calls"] == 1
+        for path in spans
+        if path.rsplit("/", 1)[-1].startswith("[kernel] ")
+    )
+
+
 def test_wall_profiling_is_off_by_default():
     from repro.pram import metrics
 
