@@ -7,7 +7,8 @@ Given the cycle nodes of the pseudo-forest, this phase
    their B-label strings (the paper's Step 1);
 2. reduces every cycle's label string to its smallest repeating prefix and
    rotates it to its minimal starting point (the m.s.p. algorithms of
-   Section 3.1), run concurrently across cycles;
+   Section 3.1), run concurrently across cycles — the efficient algorithm
+   as one lockstep pass over all cycles, charged cycle by cycle;
 3. groups the canonical prefixes into cyclic-shift equivalence classes
    with *Algorithm partition* (Section 3.2) and assigns the Q-labels:
    equivalent cycles share labels, and within a cycle two nodes share a
@@ -33,9 +34,12 @@ from ..pram.metrics import CostCounter
 from ..primitives.integer_sort import SortCostModel
 from ..primitives.list_ranking import rank_cycle
 from ..primitives.prefix_sums import prefix_sums
-from ..strings.msp_efficient import efficient_msp
+from ..strings.msp_efficient import efficient_msp, efficient_msp_segments
 from ..strings.msp_simple import simple_msp
 from ..types import as_int_array
+
+#: The Section 3.1 algorithms that can canonise the cycle label strings.
+MSP_ALGORITHMS = ("efficient", "simple")
 
 
 def _ensure_machine(machine: Optional[Machine]) -> Machine:
@@ -86,6 +90,71 @@ class CycleLabelingResult:
     class_base: np.ndarray
 
 
+def check_msp_algorithm(msp_algorithm: str) -> None:
+    """Raise :class:`ValueError` unless ``msp_algorithm`` names an m.s.p. algorithm."""
+    if msp_algorithm not in MSP_ALGORITHMS:
+        raise ValueError(f"unknown msp_algorithm {msp_algorithm!r}; choose from {list(MSP_ALGORITHMS)}")
+
+
+def _label_cycles_reference(
+    layout_labels: np.ndarray,
+    bounds: np.ndarray,
+    m: Machine,
+    cost_model: SortCostModel,
+    msp_algorithm: str,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Step 2a as one m.s.p. call per cycle, each on a machine of its own.
+
+    Cycle ``c``'s label string is ``layout_labels[bounds[c]:bounds[c+1]]``.
+    The sub-machines' costs are absorbed as concurrent (max time, summed
+    work).  This is the path of ``msp_algorithm="simple"`` and the parity
+    reference of the lockstep pass (:func:`efficient_msp_segments`).
+    Returns ``(msp, period)``.
+    """
+    num_cycles = len(bounds) - 1
+    msp = np.zeros(num_cycles, dtype=np.int64)
+    period = np.ones(num_cycles, dtype=np.int64)
+    sub_counters = []
+    for c in range(num_cycles):
+        blabel_string = layout_labels[int(bounds[c]): int(bounds[c + 1])]
+        sub = Machine(m.model, counter=CostCounter(), audit=m.audit)
+        if msp_algorithm == "simple":
+            res = simple_msp(blabel_string, machine=sub)
+        else:
+            res = efficient_msp(blabel_string, machine=sub, cost_model=cost_model)
+        msp[c] = res.index
+        period[c] = res.period
+        sub_counters.append(sub.counter)
+    m.counter.absorb_concurrent(sub_counters)
+    return msp, period
+
+
+def _label_cycles_lockstep(
+    layout_labels: np.ndarray,
+    bounds: np.ndarray,
+    m: Machine,
+    cost_model: SortCostModel,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Step 2a as one lockstep pass of *Algorithm efficient m.s.p.* over
+    all cycles (:func:`efficient_msp_segments`).
+
+    Charges exactly what :func:`_label_cycles_reference` charges: the
+    per-cycle figures combined as concurrent (max time, summed work).
+    The pass runs under a scratch counter's ``efficient_msp`` span, so a
+    wall profile shows it in the row the per-cycle machines used to give.
+    Returns ``(msp, period)``.
+    """
+    with CostCounter().span("efficient_msp"):
+        lockstep = efficient_msp_segments(layout_labels, bounds, cost_model=cost_model)
+    if len(bounds) > 1:
+        m.counter.charge_concurrent(
+            time=int(lockstep.time.max()),
+            work=int(lockstep.work.sum()),
+            charged_work=int(lockstep.charged_work.sum()),
+        )
+    return lockstep.index, lockstep.period
+
+
 def label_cycle_nodes(
     function,
     initial_labels,
@@ -111,8 +180,9 @@ def label_cycle_nodes(
     msp_algorithm:
         ``"efficient"`` (paper's O(n log log n)-work algorithm, default) or
         ``"simple"`` (the O(n log n)-work tournament) — the E9 ablation
-        flips this switch.
+        flips this switch.  Anything else raises :class:`ValueError`.
     """
+    check_msp_algorithm(msp_algorithm)
     m = _ensure_machine(machine)
     f = validate_function(function)
     labels_b = as_int_array(initial_labels, "initial_labels")
@@ -166,22 +236,11 @@ def label_cycle_nodes(
         # Step 2a: per-cycle smallest repeating prefix + m.s.p.
         # (concurrent across cycles: time is the max, work the sum)
         # ------------------------------------------------------------------
-        msp = np.zeros(max(1, num_cycles), dtype=np.int64)[:num_cycles]
-        period = np.ones(max(1, num_cycles), dtype=np.int64)[:num_cycles]
-        sub_counters = []
-        for c in range(num_cycles):
-            lo, hi = int(cycle_offsets[c]), int(cycle_offsets[c]) + int(cycle_lengths[c])
-            blabel_string = layout_labels[lo:hi]
-            sub = Machine(m.model, counter=CostCounter(), audit=m.audit)
-            if msp_algorithm == "simple":
-                res = simple_msp(blabel_string, machine=sub)
-            else:
-                res = efficient_msp(blabel_string, machine=sub, cost_model=cost_model)
-            msp[c] = res.index
-            period[c] = res.period
-            sub_counters.append(sub.counter)
-        if sub_counters:
-            m.counter.absorb_concurrent(sub_counters)
+        bounds = np.append(cycle_offsets, total_cycle_nodes) if num_cycles else np.zeros(1, dtype=np.int64)
+        if msp_algorithm == "simple":
+            msp, period = _label_cycles_reference(layout_labels, bounds, m, cost_model, msp_algorithm)
+        else:
+            msp, period = _label_cycles_lockstep(layout_labels, bounds, m, cost_model)
 
         # ------------------------------------------------------------------
         # Step 2b: equivalence classes of the canonical prefixes.
@@ -189,15 +248,13 @@ def label_cycle_nodes(
         from .equivalence import partition_cycles  # local import avoids a module cycle
 
         m.tick(total_cycle_nodes)
-        canon_lengths = period.copy()
-        canon_offsets = np.concatenate(([0], np.cumsum(canon_lengths))) if num_cycles else np.zeros(1, dtype=np.int64)
-        canon_flat = np.empty(int(canon_offsets[-1]), dtype=np.int64)
-        for c in range(num_cycles):
-            lo = int(cycle_offsets[c])
-            p = int(period[c])
-            s = int(msp[c])
-            rotated = np.roll(layout_labels[lo: lo + int(cycle_lengths[c])], -s)[:p]
-            canon_flat[int(canon_offsets[c]): int(canon_offsets[c]) + p] = rotated
+        # canonical prefix of cycle c: its `period` labels from rank msp[c]
+        # on, gathered at once (msp < period, so one wrap at most)
+        canon_offsets = np.concatenate(([0], np.cumsum(period))).astype(np.int64)
+        owner = np.repeat(np.arange(num_cycles, dtype=np.int64), period)
+        rank_in_cycle = msp[owner] + np.arange(len(owner), dtype=np.int64) - canon_offsets[owner]
+        rank_in_cycle -= np.where(rank_in_cycle >= cycle_lengths[owner], cycle_lengths[owner], 0)
+        canon_flat = layout_labels[cycle_offsets[owner] + rank_in_cycle]
         eq = partition_cycles(canon_flat, canon_offsets, machine=m, cost_model=cost_model) if num_cycles else None
 
         # ------------------------------------------------------------------

@@ -83,21 +83,13 @@ def partition_cycles(
         # sentinel that cannot collide with a real symbol.
         m.tick(int(lengths.sum()))
         sentinel = int(flat.max()) + 1 if len(flat) else 1
-        padded_lengths = np.array(
-            [1 << int(np.ceil(np.log2(max(1, l)))) if l > 1 else 1 for l in lengths],
-            dtype=np.int64,
-        )
+        # 2^ceil(log2 l): frexp's exponent of l - 1 is its bit length
+        padded_lengths = np.left_shift(1, np.frexp((lengths - 1).astype(np.float64))[1]).astype(np.int64)
         padded_offsets = np.concatenate(([0], np.cumsum(padded_lengths)))
         total = int(padded_offsets[-1])
         eq = np.full(total, sentinel, dtype=np.int64)
-        # scatter the real symbols into the padded layout
-        src_positions = np.concatenate(
-            [np.arange(offs[i], offs[i + 1]) for i in range(k)]
-        ) if total else np.zeros(0, dtype=np.int64)
-        dst_positions = np.concatenate(
-            [padded_offsets[i] + np.arange(lengths[i]) for i in range(k)]
-        ) if total else np.zeros(0, dtype=np.int64)
-        eq[dst_positions] = flat[src_positions]
+        # scatter the real symbols (contiguous in `flat`) into the padded layout
+        eq[np.repeat(padded_offsets[:-1] - offs[:-1], lengths) + np.arange(len(flat))] = flat
 
         table = m.sparse_table("BB")
         max_padded = int(padded_lengths.max())
@@ -109,16 +101,13 @@ def partition_cycles(
         while stride < max_padded:
             round_index += 1
             # active positions: within each string, the multiples of 2*stride
-            # whose partner (at +stride) is still inside the padded string
-            starts = []
-            for i in range(k):
-                if padded_lengths[i] <= stride:
-                    continue
-                pos = np.arange(0, padded_lengths[i], 2 * stride, dtype=np.int64)
-                pos = pos[pos + stride < padded_lengths[i]]
-                starts.append(padded_offsets[i] + pos)
-            if starts:
-                d1 = np.concatenate(starts)
+            # whose partner (at +stride) is still inside the padded string —
+            # padded_length / (2*stride) of them, both being powers of two
+            active = np.flatnonzero(padded_lengths > stride)
+            if len(active):
+                count = padded_lengths[active] // (2 * stride)
+                rank = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
+                d1 = np.repeat(padded_offsets[active], count) + 2 * stride * rank
                 d2 = d1 + stride
                 eq[d1] = m.concurrent_combine_pairs(table, eq[d1], eq[d2], address_base + d1)
             stride *= 2
@@ -142,14 +131,11 @@ def partition_cycles(
 
 
 def _first_appearance_ids(values: np.ndarray) -> np.ndarray:
-    """Dense ids in order of first appearance (sequential helper, O(k))."""
-    seen = {}
-    out = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values.tolist()):
-        if v not in seen:
-            seen[v] = len(seen)
-        out[i] = seen[v]
-    return out
+    """Dense ids in order of first appearance."""
+    _, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(len(first_index), dtype=np.int64)
+    rank[np.argsort(first_index, kind="stable")] = np.arange(len(first_index), dtype=np.int64)
+    return rank[inverse.reshape(-1)]
 
 
 def partition_cycles_all_pairs(

@@ -26,7 +26,7 @@ from ..pram.machine import Machine, resolve_machine
 from ..primitives.integer_sort import SortCostModel
 from ..types import PartitionResult
 from .cycle_detection import find_cycle_nodes
-from .cycle_labeling import label_cycle_nodes
+from .cycle_labeling import check_msp_algorithm, label_cycle_nodes
 from .problem import SFCPInstance, canonical_labels, num_blocks
 from .tree_labeling import label_tree_nodes
 
@@ -57,18 +57,22 @@ def jaja_ryu_partition(
         setting.  When a machine is supplied the override runs on a
         span-preserving clone, leaving the caller's machine untouched.
     cost_model:
-        Whether black-box substrates (integer sorting, residual-forest
-        scheduling) charge their published bounds (default) or the
-        operations actually incurred — the E9 ablation switch.
+        Whether the integer sorts charge their published Bhatt et al.
+        bound (default) or the operations actually incurred — the E9
+        ablation switch.  The other black boxes always charge their
+        published bounds: residual-forest labeling, the period adapter
+        and the Euler-tour circuit labeling ignore the switch.
     msp_algorithm:
         ``"efficient"`` (default) or ``"simple"`` — which Section 3.1
-        algorithm canonises the cycle label strings.
+        algorithm canonises the cycle label strings.  Anything else
+        raises :class:`ValueError`.
 
     Returns
     -------
     PartitionResult
         Canonical Q-labels, the block count, and the cost summary.
     """
+    check_msp_algorithm(msp_algorithm)
     instance = SFCPInstance.from_arrays(function, initial_labels)
     m = resolve_machine(machine, audit)
     f = instance.function

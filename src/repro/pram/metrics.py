@@ -343,13 +343,24 @@ class CostCounter:
         """
         if not counters:
             return
-        extra_time = max(c.time for c in counters)
-        extra_work = sum(c.work for c in counters)
-        extra_charged = sum(c.charged_work for c in counters)
-        self._time += extra_time
-        self._work += extra_work
-        self._charged_extra += extra_charged - extra_work
-        self._record_span(extra_time, extra_work, extra_charged)
+        self.charge_concurrent(
+            time=max(c.time for c in counters),
+            work=sum(c.work for c in counters),
+            charged_work=sum(c.charged_work for c in counters),
+        )
+
+    def charge_concurrent(self, *, time: int, work: int, charged_work: int) -> None:
+        """Charge concurrent sub-computations from their combined figures.
+
+        ``time`` is the maximum of the sub-times, ``work`` and
+        ``charged_work`` the sums — what :meth:`absorb_concurrent` derives
+        from sub-counters, for callers that compute each sub-computation's
+        cost in closed form instead of running it on a counter of its own.
+        """
+        self._time += time
+        self._work += work
+        self._charged_extra += charged_work - work
+        self._record_span(time, work, charged_work)
         self._check_budget()
 
     @contextmanager

@@ -132,6 +132,24 @@ def _charge_integer_sort(m: Machine, n: int, key_range: int, cost_model: SortCos
             m.tick(incurred_work, rounds=incurred_rounds)
 
 
+def pair_sort_charge(n: int, key_range: int, cost_model: SortCostModel) -> Tuple[int, int, int]:
+    """``(time, work, charged_work)`` that :func:`sort_pairs` charges for
+    ``n >= 1`` pairs whose components lie below ``key_range``.
+
+    Closed form for callers that sort many independent pair lists in one
+    host call but must charge each list as its own :func:`sort_pairs`: one
+    sort of the packed key (range ``key_range**2``), or two single-key
+    sorts where the packed key would overflow int64.
+    """
+    passes, sort_range = (1, key_range * key_range) if key_range <= PAIR_PACK_MAX_RANGE else (2, key_range)
+    _passes, incurred_rounds, incurred_work = _radix_pass_plan(n, sort_range)
+    if cost_model is SortCostModel.CHARGED:
+        figures = (sort_time_bound_bhatt(n), incurred_work, loglog_work_bound(n))
+    else:
+        figures = (incurred_rounds, incurred_work, incurred_work)
+    return tuple(passes * x for x in figures)  # type: ignore[return-value]
+
+
 def sort_pairs(
     first,
     second,

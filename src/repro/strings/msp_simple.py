@@ -21,7 +21,7 @@ paper prescribes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,50 +35,78 @@ def _ensure_machine(machine: Optional[Machine]) -> Machine:
     return machine if machine is not None else Machine.default()
 
 
+def _tournament_stages(n: int, num_candidates: int) -> List[Tuple[int, int, int]]:
+    """``(pairs, compared length, survivors)`` of each tournament stage.
+
+    Stage ``i`` pairs up consecutive candidates and compares circular
+    substrings of length ``min(n, 2^i)``; an unpaired trailing candidate
+    advances for free.
+    """
+    stages = []
+    alive = num_candidates
+    while alive > 1:
+        pairs = alive // 2
+        survivors = pairs + alive % 2
+        stages.append((pairs, min(n, 1 << (len(stages) + 1)), survivors))
+        alive = survivors
+    return stages
+
+
+def tournament_cost(n: int) -> Tuple[int, int]:
+    """``(time, work)`` the tournament charges with all ``n`` positions as
+    candidates: per stage, 3 rounds for the comparison of ``2 * pairs``
+    substrings and one round per survivor."""
+    stages = _tournament_stages(n, n)
+    return 4 * len(stages), sum(2 * pairs * length + survivors for pairs, length, survivors in stages)
+
+
+def _tournament_winners(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Winner of the block tournament on every row of ``rows`` at once.
+
+    ``rows`` holds equal-length circular strings, one per row;
+    ``candidates`` (ascending) are the start positions every row begins
+    with.  Each row makes exactly the comparisons of a tournament of its
+    own, ties included, so its winner is the one a one-row call returns.
+    """
+    g, n = rows.shape
+    doubled = np.concatenate([rows, rows], axis=1)
+    cands = np.broadcast_to(np.asarray(candidates, dtype=np.int64), (g, len(candidates)))
+    row = np.arange(g)[:, None, None]
+    for pairs, length, _survivors in _tournament_stages(n, len(candidates)):
+        left = cands[:, 0: 2 * pairs: 2]
+        right = cands[:, 1: 2 * pairs: 2]
+        # Compare the circular substrings of the current length starting
+        # at each pair of candidates (one gather per side, then the first
+        # difference).
+        gather = np.arange(length, dtype=np.int64)
+        left_strings = doubled[row, left[:, :, None] + gather]
+        right_strings = doubled[row, right[:, :, None] + gather]
+        # Left is smaller iff its first difference is a smaller symbol; on a
+        # tie the earlier candidate survives (Lemma 3.3).
+        neq = left_strings != right_strings
+        less = left_strings < right_strings
+        left_smaller = ~neq.any(axis=2) | (less.any(axis=2) & (np.argmax(less, axis=2) == np.argmax(neq, axis=2)))
+        winners = np.where(left_smaller, left, right)
+        if cands.shape[1] % 2:
+            winners = np.concatenate([winners, cands[:, -1:]], axis=1)
+        cands = winners
+    return cands[:, 0]
+
+
 def _tournament_msp(s: np.ndarray, candidates: np.ndarray, machine: Machine) -> int:
     """Run the block tournament over the given candidate positions.
 
     ``candidates`` must be sorted ascending.  The tournament pads the
     candidate list to the next power of two with sentinels (eliminated
     immediately), reproducing the paper's convenience assumption n = 2^k
-    without restricting the input length.
+    without restricting the input length.  Each stage costs O(1) rounds
+    with work equal to the number of characters touched.
     """
-    n = len(s)
-    doubled = np.concatenate([s, s])
-    cands = candidates.astype(np.int64)
-    stage = 0
     with machine.span("simple_msp"):
-        while len(cands) > 1:
-            stage += 1
-            length = min(n, 1 << stage)
-            # Pair up consecutive candidates; an unpaired trailing candidate
-            # advances for free.
-            k = len(cands) // 2
-            left = cands[0: 2 * k: 2]
-            right = cands[1: 2 * k: 2]
-            # Compare the circular substrings of the current length starting
-            # at each pair of candidates.  One gather per side plus a
-            # constant-round first-difference — charged as O(1) rounds with
-            # work equal to the number of characters touched.
-            machine.tick(2 * k * length, rounds=3)
-            gather = np.arange(length, dtype=np.int64)
-            left_strings = doubled[left[:, None] + gather[None, :]]
-            right_strings = doubled[right[:, None] + gather[None, :]]
-            neq = left_strings != right_strings
-            any_diff = neq.any(axis=1)
-            first_diff = np.where(any_diff, np.argmax(neq, axis=1), 0)
-            rows = np.arange(k)
-            left_smaller = np.where(
-                any_diff,
-                left_strings[rows, first_diff] < right_strings[rows, first_diff],
-                True,  # tie: keep the earlier candidate (Lemma 3.3)
-            )
-            winners = np.where(left_smaller, left, right)
-            if len(cands) % 2:
-                winners = np.concatenate([winners, cands[-1:]])
-            machine.tick(len(winners))
-            cands = winners
-    return int(cands[0])
+        for pairs, length, survivors in _tournament_stages(len(s), len(candidates)):
+            machine.tick(2 * pairs * length, rounds=3)
+            machine.tick(survivors)
+        return int(_tournament_winners(s[None, :], candidates)[0])
 
 
 def simple_msp(

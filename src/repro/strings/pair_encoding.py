@@ -70,15 +70,10 @@ def circular_pair_heads(marked: np.ndarray, *, machine: Optional[Machine] = None
 
 
 def _charge_scan(machine: Machine, n: int) -> None:
-    """Charge the cost of one balanced-tree scan over n elements."""
-    level = n
-    while level > 1:
-        machine.tick(level // 2)
-        level = (level + 1) // 2
-    level = 1
-    while level < n:
-        machine.tick(min(level, n - level))
-        level *= 2
+    """Charge the cost of one balanced-tree scan over n elements: an
+    up-sweep and a down-sweep, each one closed-form tree schedule."""
+    machine.charge_tree(n)
+    machine.charge_tree(n)
 
 
 def circular_pairs(

@@ -18,7 +18,10 @@ provide
 
 For the *coarsest partition* use only periods that divide the string
 length matter (the B-label string of a cycle is circular), so
-:func:`smallest_circular_period` restricts candidates to divisors.
+:func:`smallest_circular_period` restricts candidates to divisors and
+tests them vectorised (:func:`circular_periods`, many equal-length
+strings at once); the KMP routines remain for linear periods and as the
+test reference.
 """
 
 from __future__ import annotations
@@ -92,17 +95,61 @@ def divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
+def prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of ``n >= 1`` in increasing order."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def circular_periods(rows: np.ndarray) -> np.ndarray:
+    """Smallest circular period of every row of a 2-D array of strings.
+
+    A divisor ``d`` of the row length ``n`` is a circular period iff
+    ``row[d:] == row[:-d]``: a shift by a divisor of ``n`` fixes the
+    circular string exactly when it fixes the linear one.  The periods
+    dividing ``n`` are closed under ``gcd``, so a row with a period below
+    ``n`` also has some ``n / q`` (``q`` a prime factor of ``n``) as a
+    period.  One vectorised check per prime factor therefore settles the
+    primitive rows; only the periodic ones test the divisors in increasing
+    order.
+    """
+    g, n = rows.shape
+    period = np.full(g, n, dtype=np.int64)
+    periodic = np.zeros(g, dtype=bool)
+    for q in prime_factors(n):
+        d = n // q
+        periodic |= np.all(rows[:, d:] == rows[:, :-d], axis=1)
+    todo = np.flatnonzero(periodic)
+    for d in divisors(n)[:-1]:
+        if not len(todo):
+            break
+        hit = np.all(rows[todo, d:] == rows[todo, :-d], axis=1)
+        period[todo[hit]] = d
+        todo = todo[~hit]
+    return period
+
+
 def smallest_circular_period(symbols) -> int:
     """Smallest ``p`` dividing ``n`` such that rotating by ``p`` fixes the
     circular string — equivalently the length of the smallest repeating
-    prefix of the circular string.  Sequential ``O(n)``.
+    prefix of the circular string (:func:`circular_periods` on one row).
 
     For circular strings this coincides with
     :func:`smallest_repeating_prefix_length` because a circular string with
     period ``p`` (not necessarily dividing ``n``) also has period
     ``gcd(p, n)``.
     """
-    return smallest_repeating_prefix_length(symbols)
+    s = validate_string(symbols)
+    return int(circular_periods(s[None, :])[0])
 
 
 def smallest_period_parallel(

@@ -39,6 +39,7 @@ from repro.primitives import (
     wyllie_rank,
 )
 from repro.primitives.integer_sort import SortCostModel, sort_by_keys
+from repro.strings.pair_encoding import _charge_scan
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN_CHARGING = json.loads((HERE / "golden_charging.json").read_text())
@@ -104,6 +105,35 @@ def test_charge_tree_matches_both_loop_sweeps(n):
     counter.charge_tree(n)
     assert counter.time == up_rounds
     assert counter.work == up_work
+
+
+def test_charge_scan_matches_its_two_loop_sweeps():
+    # the pair-encoding scan used to tick the up- and down-sweep level by
+    # level; it is now two closed-form tree charges, spans included
+    for n in range(5000):
+        reference = CostCounter()
+        with reference.span("scan"):
+            for level_work in _loop_sweep_ticks(n):
+                reference.tick(level_work)
+        m = Machine.default()
+        with m.span("scan"):
+            _charge_scan(m, n)
+        assert (m.time, m.work, m.counter.charged_work) == (reference.time, reference.work, reference.charged_work), n
+        assert m.counter.summary().spans == reference.summary().spans, n
+
+
+def _loop_sweep_ticks(n: int) -> list:
+    """Per-round work of the old ``_charge_scan`` loops."""
+    ticks = []
+    level = n
+    while level > 1:
+        ticks.append(level // 2)
+        level = (level + 1) // 2
+    level = 1
+    while level < n:
+        ticks.append(min(level, n - level))
+        level *= 2
+    return ticks
 
 
 @pytest.mark.parametrize("n", SIZES)

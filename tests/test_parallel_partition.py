@@ -188,6 +188,25 @@ def test_jaja_ryu_agrees_with_linear_at_scale(family, n, seed, host_kernel, monk
     assert same_partition(ours.labels, coarsest_partition(f, b, algorithm="paige-tarjan-bonic").labels)
 
 
+@pytest.mark.parametrize("n,seed", [(1 << 12, 7), (1 << 14, 8), (1 << 16, 9)])
+def test_permutations_agree_with_linear_at_scale(n, seed):
+    """Step 2 alone decides a permutation: its lockstep m.s.p. pass runs
+    long and short cycles together."""
+    f, b = random_permutation(n, num_labels=3, seed=seed)
+    ours = jaja_ryu_partition(f, b, audit=False)
+    expect = coarsest_partition(f, b, algorithm="paige-tarjan-bonic")
+    assert same_partition(ours.labels, expect.labels)
+    assert ours.num_blocks == expect.num_blocks
+
+
+def test_unknown_msp_algorithm_is_rejected():
+    f, b = random_permutation(12, seed=0)
+    with pytest.raises(ValueError, match="msp_algorithm"):
+        coarsest_partition(f, b, msp_algorithm="bogus")
+    with pytest.raises(ValueError, match="msp_algorithm"):
+        jaja_ryu_partition(f, b, msp_algorithm="")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 10**6))
 def test_permutation_only_instances_property(n, seed):

@@ -19,6 +19,7 @@ from repro.strings import (
     to_text,
     validate_string,
 )
+from repro.strings.period import circular_periods
 
 
 def test_validate_string_rejects_bad_inputs():
@@ -96,3 +97,25 @@ def test_repeating_prefix_divides_and_tiles(base, reps):
     p = smallest_repeating_prefix_length(s)
     assert len(s) % p == 0
     assert s == s[:p] * (len(s) // p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 6, 12, 36, 60, 64, 97, 120, 360, 720]),
+    st.sampled_from(["random", "periodic", "equal"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_divisor_check_matches_the_kmp_reference(length, kind, alphabet, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equal":
+        s = np.full(length, alphabet)
+    elif kind == "periodic":
+        block = int(rng.choice([d for d in range(1, length + 1) if length % d == 0]))
+        s = np.tile(rng.integers(0, alphabet, block), length // block)
+    else:
+        s = rng.integers(0, alphabet, length)
+    expect = smallest_repeating_prefix_length(s)
+    assert smallest_circular_period(s) == expect
+    rows = np.stack([s, np.roll(s, int(rng.integers(0, length))), np.full(length, 0)])
+    assert circular_periods(rows).tolist() == [expect, expect, 1]
