@@ -439,8 +439,6 @@ def run_e9_sort_ablation(
         f, b = wl.instance(n, seed)
         for cost_model in (SortCostModel.CHARGED, SortCostModel.INCURRED):
             result = jaja_ryu_partition(f, b, cost_model=cost_model)
-            spans = result.cost.spans
-            sort_work = sum(w for label, (t, w) in spans.items() if label.endswith("integer_sort"))
             rows.append(
                 {
                     "n": n,

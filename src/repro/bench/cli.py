@@ -74,14 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
              "charged cost is unchanged)",
     )
     parser.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="host sort kernel to realise integer sorts with (radix|argsort; "
-             "default: the process default, radix) — kernels change only "
-             "wall-clock, never results or charged totals, so this is the "
-             "A/B switch for perf work; the choice is deliberately NOT "
-             "recorded in cell fingerprints",
-    )
-    parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="run every cell N times and keep the best wall-clock sample "
              "(recorded in the artifact cells; charged totals are "
@@ -179,15 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.repeat < 1:
         print("error: --repeat must be a positive integer", file=sys.stderr)
         return 2
-    from ..pram.kernels import available_sort_kernels, use_sort_kernel
-
-    if args.kernel is not None and args.kernel not in available_sort_kernels():
-        print(
-            f"error: unknown kernel {args.kernel!r}; choose from "
-            f"{available_sort_kernels()}",
-            file=sys.stderr,
-        )
-        return 2
     if args.trend_check and args.run_name is None:
         print("error: --trend-check requires --run-name", file=sys.stderr)
         return 2
@@ -216,21 +199,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         echo=echo,
         repeat=args.repeat,
     )
-    from contextlib import nullcontext
+    if args.profile:
+        from ..pram.metrics import wall_profiling
 
-    kernel_ctx = use_sort_kernel(args.kernel) if args.kernel is not None else nullcontext()
-    with kernel_ctx:
-        if args.kernel is not None and echo:
-            echo(f"[repro.bench] sort kernel: {args.kernel}")
-        if args.profile:
-            from ..pram.metrics import wall_profiling
-
-            with wall_profiling() as profile:
-                results = runner.run(configs)
-            profile_path = _emit_profile(profile, args, ids, echo)
-        else:
+        with wall_profiling() as profile:
             results = runner.run(configs)
-            profile_path = None
+        profile_path = _emit_profile(profile, args, ids, echo)
+    else:
+        results = runner.run(configs)
+        profile_path = None
     written = [r.path for r in results.values() if r.path]
     if profile_path:
         written.append(profile_path)
@@ -262,7 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "workload": args.workload,
                 "seed": args.seed,
                 "no_audit": bool(args.no_audit),
-                "kernel": args.kernel,
                 "repeat": args.repeat,
             },
             artifacts=[
@@ -327,12 +303,6 @@ def _trend_check(registry, args, echo) -> int:
     return 0
 
 
-def _default_kernel_name() -> str:
-    from ..pram.kernels import default_sort_kernel
-
-    return default_sort_kernel()
-
-
 def _emit_profile(profile, args, ids: List[str], echo) -> Optional[str]:
     """Render the span wall-time table and persist BENCH_PROFILE.json."""
     import json
@@ -367,7 +337,6 @@ def _emit_profile(profile, args, ids: List[str], echo) -> Optional[str]:
                 "schema": "repro.bench.profile",
                 "schema_version": 1,
                 "experiments": list(ids),
-                "sort_kernel": args.kernel or _default_kernel_name(),
                 "spans": display,
             },
             fh,

@@ -1,36 +1,27 @@
-"""Batched SFCP solving: shard many instances through one PRAM machine.
+"""Batched SFCP solving: many instances through one PRAM machine.
 
 A production deployment of the partition algorithm rarely sees one giant
 instance; it sees *streams* of medium instances (one per DFA to minimise,
-one per Markov chain to lump).  :func:`solve_batch` executes many
-instances against a single :class:`~repro.pram.machine.Machine` so the
-whole batch shares one cost ledger, and reports per-instance attribution.
+one per Markov chain to lump).  :func:`solve_batch` packs many instances
+into one disjoint-union instance — node ids are offset so the functions
+never cross, and initial labels are offset so no initial block spans two
+instances — and solves it by a *single* invocation of the selected
+algorithm against one :class:`~repro.pram.machine.Machine`, so the whole
+batch shares one cost ledger.
 
-Two sharding modes are provided:
-
-``"packed"`` (default)
-    The instances are packed into one disjoint-union instance — node ids
-    are offset so the functions never cross, and initial labels are offset
-    so no initial block spans two instances — and solved by a *single*
-    invocation of the selected algorithm.  This is the PRAM-faithful mode:
-    all instances are refined simultaneously, the parallel time of the
-    batch is the time of the union (not the sum), and restricting the
-    union's coarsest partition to one instance provably gives that
-    instance's own coarsest partition (stability and signature refinement
-    are component-local).  Per-instance *work* attribution is the union
-    work shared proportionally to instance size; per-instance *time* is
-    the batch time (the instances ran concurrently).
-
-``"sequential"``
-    The instances run one after another on the shared machine, each under
-    its own cost span, so the per-instance time/work figures are exact
-    measurements rather than attributions.
+This is the PRAM-faithful batching: all instances are refined
+simultaneously, the parallel time of the batch is the time of the union
+(not the sum), and restricting the union's coarsest partition to one
+instance provably gives that instance's own coarsest partition (stability
+and signature refinement are component-local).  Per-instance *work*
+attribution is the union work shared proportionally to instance size;
+per-instance *time* is the batch time (the instances ran concurrently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,31 +33,35 @@ from .problem import SFCPInstance, canonical_labels, num_blocks
 
 InstanceLike = Union[SFCPInstance, Tuple[np.ndarray, np.ndarray]]
 
-#: Hashable key identifying a class of mutually batchable solve calls.
-CompatKey = Tuple[str, bool, str, Tuple[Tuple[str, object], ...]]
+
+class CompatKey(NamedTuple):
+    """Hashable key identifying a class of mutually batchable solve calls."""
+
+    algorithm: str
+    audit: bool
+    params: Tuple[Tuple[str, object], ...]
 
 
 def batch_compat_key(
     algorithm: str = "jaja-ryu",
     audit: Optional[bool] = None,
     *,
-    mode: str = "packed",
     params: Optional[Mapping[str, object]] = None,
 ) -> CompatKey:
     """Key under which solve requests may share one :func:`solve_batch` call.
 
     Two requests can ride in the same batch iff they agree on the algorithm,
-    the audit flag, the sharding mode and every algorithm keyword argument —
-    the batch runs as *one* machine execution, so any of these differing
-    would silently apply one request's settings to another.  Schedulers
-    (e.g. :mod:`repro.serving`) group queued requests by this key before
+    the audit flag and every algorithm keyword argument — the batch runs
+    as *one* machine execution, so any of these differing would silently
+    apply one request's settings to another.  Schedulers (e.g.
+    :mod:`repro.serving`) group queued requests by this key before
     coalescing them.
 
     ``audit=None`` normalises to ``True`` (the default-machine setting used
     when :func:`solve_batch` builds a fresh machine).
     """
     frozen = tuple(sorted((params or {}).items()))
-    return (str(algorithm), True if audit is None else bool(audit), str(mode), frozen)
+    return CompatKey(str(algorithm), True if audit is None else bool(audit), frozen)
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,6 @@ class BatchResult:
     cost: CostSummary
     per_instance: List[BatchItemReport]
     algorithm: str
-    mode: str
 
     def __len__(self) -> int:
         return len(self.results)
@@ -126,10 +120,9 @@ def solve_batch(
     algorithm: str = "jaja-ryu",
     machine: Optional[Machine] = None,
     audit: Optional[bool] = None,
-    mode: str = "packed",
     **kwargs,
 ) -> BatchResult:
-    """Solve many SFCP instances through one machine.
+    """Solve many SFCP instances as one packed union through one machine.
 
     Parameters
     ----------
@@ -150,13 +143,9 @@ def solve_batch(
         must all agree — the batch executes as one machine run, so mixed
         flags raise :class:`~repro.errors.BatchError` (group requests by
         :func:`batch_compat_key` first).
-    mode:
-        ``"packed"`` or ``"sequential"`` — see the module docstring.
     kwargs:
         Forwarded to the selected algorithm (e.g. ``cost_model``).
     """
-    if mode not in ("packed", "sequential"):
-        raise ValueError(f"unknown batch mode {mode!r}; choose 'packed' or 'sequential'")
     audit = _uniform_audit(audit)
     parsed = [_as_instance(item) for item in instances]
     if not parsed:
@@ -164,10 +153,7 @@ def solve_batch(
             "solve_batch received an empty batch; a batcher must never "
             "dispatch zero instances (coalesce first, then solve)"
         )
-    m = resolve_machine(machine, audit)
-    if mode == "packed":
-        return _solve_packed(parsed, algorithm, m, kwargs)
-    return _solve_sequential(parsed, algorithm, m, kwargs)
+    return _solve_packed(parsed, algorithm, resolve_machine(machine, audit), kwargs)
 
 
 def _uniform_audit(audit) -> Optional[bool]:
@@ -265,42 +251,4 @@ def _solve_packed(
                 charged_work=charged_share,
             )
         )
-    return BatchResult(results, _summary_delta(m, before), reports, algorithm, "packed")
-
-
-def _solve_sequential(
-    parsed: List[SFCPInstance],
-    algorithm: str,
-    m: Machine,
-    kwargs: dict,
-) -> BatchResult:
-    before = m.counter.summary()
-    results: List[PartitionResult] = []
-    reports: List[BatchItemReport] = []
-    for i, inst in enumerate(parsed):
-        t0, w0, c0 = _counter_snapshot(m)
-        with m.span(f"solve_batch/instance_{i:04d}"):
-            result = coarsest_partition(
-                inst.function, inst.initial_labels, algorithm=algorithm, machine=m, **kwargs
-            )
-        t1, w1, c1 = _counter_snapshot(m)
-        per_cost = CostSummary(time=t1 - t0, work=w1 - w0, charged_work=c1 - c0)
-        results.append(
-            PartitionResult(
-                labels=result.labels,
-                num_blocks=result.num_blocks,
-                algorithm=result.algorithm,
-                cost=per_cost,
-            )
-        )
-        reports.append(
-            BatchItemReport(
-                index=i,
-                n=inst.n,
-                num_blocks=result.num_blocks,
-                time=per_cost.time,
-                work=per_cost.work,
-                charged_work=per_cost.charged_work,
-            )
-        )
-    return BatchResult(results, _summary_delta(m, before), reports, algorithm, "sequential")
+    return BatchResult(results, _summary_delta(m, before), reports, algorithm)

@@ -38,6 +38,7 @@ from ..primitives.integer_sort import SortCostModel, rank_values
 from ..primitives.prefix_sums import prefix_sums
 from ..strings.string_sorting import sort_strings
 from ..types import EquivalenceResult, as_int_array
+from .problem import canonical_labels
 
 
 def _ensure_machine(machine: Optional[Machine]) -> Machine:
@@ -121,21 +122,13 @@ def partition_cycles(
         combined = head_codes * np.int64(int(lengths.max()) + 1) + lengths
         dense, num_classes = rank_values(combined, machine=m, cost_model=cost_model)
         # re-rank to order of first appearance for deterministic output
-        class_of = _first_appearance_ids(dense)
+        class_of = canonical_labels(dense)
     return EquivalenceResult(
         class_of=class_of,
         num_classes=int(num_classes),
         algorithm="bb-doubling",
         cost=m.counter.summary(),
     )
-
-
-def _first_appearance_ids(values: np.ndarray) -> np.ndarray:
-    """Dense ids in order of first appearance."""
-    _, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
-    rank = np.empty(len(first_index), dtype=np.int64)
-    rank[np.argsort(first_index, kind="stable")] = np.arange(len(first_index), dtype=np.int64)
-    return rank[inverse.reshape(-1)]
 
 
 def partition_cycles_all_pairs(
@@ -168,7 +161,7 @@ def partition_cycles_all_pairs(
         # deduce classes: representative = smallest equal index
         m.tick(k * k, rounds=2)
         rep = np.array([int(np.flatnonzero(equal[i])[0]) for i in range(k)], dtype=np.int64)
-        class_of = _first_appearance_ids(rep)
+        class_of = canonical_labels(rep)
     return EquivalenceResult(
         class_of=class_of,
         num_classes=int(class_of.max()) + 1 if k else 0,
@@ -198,7 +191,7 @@ def partition_cycles_sorting(
     strings = [flat[offs[i]: offs[i + 1]] for i in range(k)]
     with m.span("partition_cycles_sorting"):
         result = sort_strings(strings, machine=m, cost_model=cost_model)
-        class_of = _first_appearance_ids(result.ranks)
+        class_of = canonical_labels(result.ranks)
     return EquivalenceResult(
         class_of=class_of,
         num_classes=int(class_of.max()) + 1 if k else 0,

@@ -17,15 +17,7 @@ Quick tour
 (2, 16)
 """
 
-from .kernels import (
-    PAIR_PACK_MAX_RANGE,
-    available_sort_kernels,
-    cycle_min_labels,
-    default_sort_kernel,
-    set_default_sort_kernel,
-    sort_indices,
-    use_sort_kernel,
-)
+from .kernels import PAIR_PACK_MAX_RANGE, cycle_min_labels, sort_indices
 from .machine import Machine, resolve_machine
 from .memory import SharedArray, SparseTable
 from .metrics import (
@@ -51,14 +43,7 @@ from .models import (
     get_model,
 )
 from .scheduler import SpeedupPoint, StepProfile, processors_for_time, speedup_table
-from .instrumentation import (
-    TraceEvent,
-    TraceRecorder,
-    bound_ratios,
-    compare_report,
-    cost_report,
-    phase_report,
-)
+from .instrumentation import bound_ratios, compare_report, cost_report, phase_report
 
 __all__ = [
     "Machine",
@@ -80,8 +65,6 @@ __all__ = [
     "SpeedupPoint",
     "processors_for_time",
     "speedup_table",
-    "TraceRecorder",
-    "TraceEvent",
     "bound_ratios",
     "cost_report",
     "phase_report",
@@ -94,10 +77,6 @@ __all__ = [
     "wall_profiling",
     "kernel_timing",
     "PAIR_PACK_MAX_RANGE",
-    "available_sort_kernels",
     "cycle_min_labels",
-    "default_sort_kernel",
-    "set_default_sort_kernel",
     "sort_indices",
-    "use_sort_kernel",
 ]

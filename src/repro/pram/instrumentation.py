@@ -1,11 +1,9 @@
-"""Execution tracing and report rendering for simulated PRAM runs.
+"""Report rendering for simulated PRAM runs.
 
 While :mod:`repro.pram.metrics` accumulates the raw numbers, this module
 provides the human-facing layer used by the benchmark harness and the
 examples:
 
-* :class:`TraceRecorder` — an opt-in per-step trace (step index, label,
-  active processors) bounded in length so it never dominates memory.
 * :func:`phase_report` — a plain-text breakdown of where the work went,
   grouped by the span labels the algorithms declare.
 * :func:`cost_report` — a one-line summary of a run, aligned with the
@@ -17,51 +15,9 @@ examples:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..types import CostSummary
-from .metrics import CostCounter
-
-
-@dataclass
-class TraceEvent:
-    """One recorded parallel step."""
-
-    step: int
-    label: str
-    active: int
-
-
-@dataclass
-class TraceRecorder:
-    """Bounded in-memory trace of parallel steps.
-
-    Attach to algorithm code by calling :meth:`record` next to the
-    machine's ``tick``; the recorder drops events past ``max_events`` but
-    keeps counting them, so summaries stay exact even when the trace is
-    truncated.
-    """
-
-    max_events: int = 10_000
-    events: List[TraceEvent] = field(default_factory=list)
-    dropped: int = 0
-    _step: int = 0
-
-    def record(self, label: str, active: int) -> None:
-        self._step += 1
-        if len(self.events) < self.max_events:
-            self.events.append(TraceEvent(self._step, label, active))
-        else:
-            self.dropped += 1
-
-    def by_label(self) -> Dict[str, Tuple[int, int]]:
-        """Aggregate recorded events: label -> (steps, total active)."""
-        agg: Dict[str, Tuple[int, int]] = {}
-        for ev in self.events:
-            steps, active = agg.get(ev.label, (0, 0))
-            agg[ev.label] = (steps + 1, active + ev.active)
-        return agg
 
 
 def _fmt_int(x: int) -> str:
@@ -140,8 +96,3 @@ def compare_report(n: int, summaries: Dict[str, CostSummary]) -> str:
         rel = summary.work / baseline_work
         lines.append(cost_report(name, n, summary) + f"  rel-work={rel:6.2f}x")
     return "\n".join(lines)
-
-
-def snapshot(counter: CostCounter) -> CostSummary:
-    """Convenience alias for ``counter.summary()`` (keeps imports tidy)."""
-    return counter.summary()

@@ -6,28 +6,22 @@ algorithm *charges* from what the host actually *executes*: the charged
 ``time``/``work``/``charged_work`` figures are closed-form and fixed, so
 the realisation underneath is free to be as fast as the hardware allows.
 This module is that realisation layer.  Every kernel here is a pure NumPy
-function with **no cost accounting of its own** — swapping kernels must
+function with **no cost accounting of its own** — changing a kernel must
 never move a charged total (the charging-parity goldens and the CI
 ``perf-smoke`` job enforce this).
 
-Kernels
--------
-
-``radix``
-    A vectorised LSD radix sort over 16-bit digits.  Each pass extracts
-    one digit and counting-sorts it — histogram, cumulative bucket
-    offsets, stable scatter — by delegating the pass to NumPy's stable
-    integer argsort, which for <=16-bit keys *is* that counting-sort
-    recipe (an LSD byte-radix in C since NumPy 1.17).  The number of
-    passes is ``ceil(bits(key_range) / 16)``, so the kernel is O(n) for
-    the polynomial ranges the paper needs (1 pass for codes below 2^16,
-    3 passes at ``n^2`` with ``n = 2^20``) instead of the O(n log n)
-    comparison sort a full-width argsort costs.  Falls back to ``argsort``
-    when ``n`` is too small for the per-pass bucket overhead to pay off.
-
-``argsort``
-    NumPy's full-width stable argsort — the pre-PR 4 realisation, kept as
-    the A/B baseline (``python -m repro.bench --kernel argsort``).
+:func:`sort_indices` realises every integer sort with :func:`radix_kernel`,
+a vectorised LSD radix sort over 16-bit digits.  Each pass extracts one
+digit and counting-sorts it — histogram, cumulative bucket offsets,
+stable scatter — by delegating the pass to NumPy's stable integer
+argsort, which for <=16-bit keys *is* that counting-sort recipe (an LSD
+byte-radix in C since NumPy 1.17).  The number of passes is
+``ceil(bits(key_range) / 16)``, so the kernel is O(n) for the polynomial
+ranges the paper needs (1 pass for codes below 2^16, 3 passes at ``n^2``
+with ``n = 2^20``) instead of the O(n log n) comparison sort a full-width
+argsort costs.  A full-width stable argsort stays as the fallback below
+``_RADIX_MIN_N`` keys, where the per-pass bucket overhead does not pay
+off, and for keys with negatives (:func:`grouped_sort`).
 
 :func:`cycle_min_labels` is the companion kernel for circuit labeling on
 a permutation (Euler-tour circuits): a sparse-ruling-set walk that
@@ -41,19 +35,14 @@ the labelled nodes the residual trees hang from, one depth level at a
 time, in O(n) host operations plus O(1) NumPy calls per level, instead of
 the Θ(n log D) BB-table doubling over all ``n`` nodes.
 
-Kernel selection threads through :class:`repro.pram.machine.Machine`
-(``Machine(sort_kernel="argsort")``); machines built without an explicit
-kernel use the process default, settable via :func:`set_default_sort_kernel`
-or the :func:`use_sort_kernel` context manager (the ``--kernel`` flag of
-``python -m repro.bench``).  Under ``wall_profiling`` every kernel call is
-attributed to a ``[kernel] <name>`` row next to the ordinary span rows.
+Under ``wall_profiling`` every kernel call is attributed to a
+``[kernel] <name>`` row under the span that called it.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -74,11 +63,9 @@ _RADIX_DIGIT_MASK = (1 << _RADIX_DIGIT_BITS) - 1
 #: development container).
 _RADIX_MIN_N = 1024
 
-SortKernel = Callable[[np.ndarray, int], np.ndarray]
 
-
-def argsort_kernel(keys: np.ndarray, key_range: int) -> np.ndarray:
-    """Full-width stable argsort (the baseline realisation)."""
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Full-width stable argsort: the fallback for small or signed keys."""
     return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
@@ -91,7 +78,7 @@ def radix_kernel(keys: np.ndarray, key_range: int) -> np.ndarray:
     """
     n = len(keys)
     if n < _RADIX_MIN_N:
-        return argsort_kernel(keys, key_range)
+        return _stable_argsort(keys)
     # promote narrow dtypes once so the digit mask cannot overflow them
     keys = np.asarray(keys).astype(np.int64, copy=False)
     bits = max(1, int(key_range - 1).bit_length()) if key_range > 1 else 1
@@ -124,64 +111,17 @@ def radix_kernel(keys: np.ndarray, key_range: int) -> np.ndarray:
     return order
 
 
-SORT_KERNELS: Dict[str, SortKernel] = {
-    "radix": radix_kernel,
-    "argsort": argsort_kernel,
-}
-
-_default_sort_kernel = "radix"
-
-
-def available_sort_kernels() -> List[str]:
-    """Registered kernel names, alphabetically."""
-    return sorted(SORT_KERNELS)
-
-
-def default_sort_kernel() -> str:
-    """The kernel used by machines built without an explicit ``sort_kernel``."""
-    return _default_sort_kernel
-
-
-def set_default_sort_kernel(name: str) -> None:
-    """Set the process-wide default sort kernel."""
-    global _default_sort_kernel
-    if name not in SORT_KERNELS:
-        raise KeyError(
-            f"unknown sort kernel {name!r}; choose from {available_sort_kernels()}"
-        )
-    _default_sort_kernel = name
-
-
-@contextmanager
-def use_sort_kernel(name: str) -> Iterator[None]:
-    """Temporarily switch the default sort kernel (A/B benchmarking)."""
-    previous = default_sort_kernel()
-    set_default_sort_kernel(name)
-    try:
-        yield
-    finally:
-        set_default_sort_kernel(previous)
-
-
-def sort_indices(keys: np.ndarray, key_range: int, *, kernel: Optional[str] = None) -> np.ndarray:
+def sort_indices(keys: np.ndarray, key_range: int) -> np.ndarray:
     """Stable sorting permutation of non-negative ``keys`` below ``key_range``.
 
-    ``kernel=None`` resolves to the process default.  All kernels return
-    the identical (stability-unique) permutation; only wall-clock differs.
+    Profiled runs attribute each call to the ``[kernel] radix`` row.
     """
-    name = kernel if kernel is not None else _default_sort_kernel
-    try:
-        fn = SORT_KERNELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sort kernel {name!r}; choose from {available_sort_kernels()}"
-        ) from None
-    with kernel_timing(name):
-        return fn(keys, key_range)
+    with kernel_timing("radix"):
+        return radix_kernel(keys, key_range)
 
 
 def grouped_sort(
-    keys: np.ndarray, key_bound: Optional[int] = None, *, kernel: Optional[str] = None
+    keys: np.ndarray, key_bound: Optional[int] = None
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Stable grouping of keys: ``(order, sorted_keys, starts, is_first)``.
 
@@ -197,9 +137,9 @@ def grouped_sort(
     if key_bound is None:
         key_bound = int(keys.max()) + 1 if n and int(keys.min()) >= 0 else 0
     if key_bound <= 0:
-        order = argsort_kernel(keys, 0)
+        order = _stable_argsort(keys)
     else:
-        order = sort_indices(keys, key_bound, kernel=kernel)
+        order = sort_indices(keys, key_bound)
     sorted_keys = keys[order]
     starts, is_first = _group_starts(sorted_keys)
     return order, sorted_keys, starts, is_first

@@ -112,15 +112,10 @@ class Machine:
         When ``False`` conflict checking is skipped (cost is still
         charged).  Auditing costs extra Python/NumPy time; benchmarks that
         only need counts may disable it, correctness tests keep it on.
-    sort_kernel:
-        Name of the host sort kernel (see :mod:`repro.pram.kernels`) the
-        integer-sort primitives and this machine's bulk-step grouping
-        sorts realise their permutations with.  ``None`` (the default)
-        resolves to the process default at each call, so benchmarks can
-        A/B kernels globally (``--kernel``).  An explicit name pins the
-        machine's own sorts; the audited write resolution inside
-        :mod:`repro.pram.models` always follows the process default.
-        Kernels never change results or charged cost — only wall-clock.
+
+    Every sort the machine and the integer-sort primitives run goes
+    through the host kernels of :mod:`repro.pram.kernels`, which never
+    change results or charged cost — only wall-clock.
     """
 
     def __init__(
@@ -130,13 +125,11 @@ class Machine:
         counter: Optional[CostCounter] = None,
         seed: int = 0,
         audit: bool = True,
-        sort_kernel: Optional[str] = None,
     ) -> None:
         self.model = model if model is not None else arbitrary_crcw()
         self.counter = counter if counter is not None else CostCounter()
         self.rng = np.random.default_rng(seed)
         self.audit = audit
-        self.sort_kernel = sort_kernel
 
     # ------------------------------------------------------------------
     # constructors / conveniences
@@ -162,19 +155,13 @@ class Machine:
             model,
             counter=self.counter,
             audit=self.audit if audit is None else audit,
-            sort_kernel=self.sort_kernel,
         )
         clone.rng = self.rng
         return clone
 
     def with_winner(self, winner: ArbitraryWinner) -> "Machine":
         """A machine identical to this one but with a different write winner."""
-        return Machine(
-            self.model.with_winner(winner),
-            counter=self.counter,
-            audit=self.audit,
-            sort_kernel=self.sort_kernel,
-        )
+        return Machine(self.model.with_winner(winner), counter=self.counter, audit=self.audit)
 
     # ------------------------------------------------------------------
     # memory allocation
@@ -191,13 +178,6 @@ class Machine:
         data = np.full(n, fill, dtype=dtype)
         if n and fill != 0:
             self.counter.tick(n)
-        return SharedArray(name, data)
-
-    def alloc_like(self, values: np.ndarray, *, name: str = "mem") -> SharedArray:
-        """Allocate a shared array holding a copy of ``values`` (charged)."""
-        data = np.array(values, copy=True)
-        if len(data):
-            self.counter.tick(len(data))
         return SharedArray(name, data)
 
     def sparse_table(self, name: str = "BB", *, dense_shape=None) -> SparseTable:
@@ -329,9 +309,7 @@ class Machine:
         if not self.audit and winner in (ArbitraryWinner.FIRST, ArbitraryWinner.LAST):
             # Unaudited fast path: skip the model's conflict validation;
             # the stable grouping sort makes winner selection positional.
-            order, sorted_flat, starts, _ = grouped_sort(
-                flat, key_bound, kernel=self.sort_kernel
-            )
+            order, sorted_flat, starts, _ = grouped_sort(flat, key_bound)
             uniq = sorted_flat[starts]
             survivors = winner_positions(
                 starts, len(flat), first=winner is ArbitraryWinner.FIRST
@@ -416,9 +394,7 @@ class Machine:
         else:
             if self.audit and not self.model.read.allow_concurrent and len(ka) > 1:
                 self.model.read.check(flat)
-            order, sorted_flat, starts, is_first = grouped_sort(
-                flat, key_bound, kernel=self.sort_kernel
-            )
+            order, sorted_flat, starts, is_first = grouped_sort(flat, key_bound)
             uniq = sorted_flat[starts]
             survivors = winner_positions(
                 starts, len(flat), first=winner is ArbitraryWinner.FIRST
@@ -458,16 +434,3 @@ class Machine:
         if audit is None or audit == self.audit:
             return self
         return self.clone_for(self.model, audit=audit)
-
-    def select(self, mask: np.ndarray) -> np.ndarray:
-        """Return indices where ``mask`` is true (charged as one step).
-
-        Compaction via prefix sums is itself an ``O(log n)``-time PRAM
-        operation; callers that need the *cost* of compaction to be modelled
-        accurately should use :func:`repro.primitives.prefix_sums.compact`
-        instead.  ``select`` is the cheap form used where the paper assumes
-        processors are already allocated to the selected elements.
-        """
-        m = _data(mask)
-        self.counter.tick(len(m))
-        return np.flatnonzero(m)

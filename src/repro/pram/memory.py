@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..types import as_int_array
 from .kernels import sort_indices
 
 
@@ -208,11 +207,3 @@ class SparseTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         self._commit()
         return f"SparseTable({self.name!r}, cells={len(self._flat)})"
-
-
-def ensure_index_array(indices, n: int, name: str = "indices") -> np.ndarray:
-    """Validate that ``indices`` are within ``[0, n)`` and return int64 array."""
-    arr = as_int_array(indices, name)
-    if len(arr) and (arr.min() < 0 or arr.max() >= n):
-        raise IndexError(f"{name} out of range [0, {n}): min={arr.min()}, max={arr.max()}")
-    return arr

@@ -109,9 +109,9 @@ def sort_by_keys(
     # Radix decomposition in base max(2, n): the paper's ranges are always
     # polynomial in n, so the number of passes is a small constant.  The
     # charging keeps the per-pass schedule's arithmetic; the host
-    # permutation comes from the machine's sort kernel (every kernel
-    # realises the same stability-unique result — see repro.pram.kernels).
-    order = sort_indices(k, rng, kernel=m.sort_kernel)
+    # permutation comes from the radix kernel (the same stability-unique
+    # result any stable sort gives — see repro.pram.kernels).
+    order = sort_indices(k, rng)
     _charge_integer_sort(m, n, rng, cost_model)
     return order
 
@@ -190,7 +190,7 @@ def sort_pairs(
             # stable sort of ``first`` alone.  The Euler-structure build
             # (second = arange) hits this every time.  Host-only shortcut —
             # the charge is the packed sort's, figure for figure.
-            order = sort_indices(a, rng, kernel=m.sort_kernel)
+            order = sort_indices(a, rng)
             _charge_integer_sort(m, n, rng * rng, cost_model)
             return order
         combined = a * rng + b

@@ -14,8 +14,9 @@ front end that *accepts traffic*.  This package turns
   one packed ``solve_batch`` call under ``max_batch_size`` /
   ``max_batch_delay`` knobs;
 * :mod:`~repro.serving.workers` — a sharded worker pool (threads driving
-  per-worker PRAM machines, each batch to the least-loaded shard, or a
-  process pool for true multi-core);
+  per-worker PRAM machines, each batch to the least-loaded shard);
+  process-level parallelism comes from process replicas
+  (:mod:`~repro.serving.supervisor`);
 * :mod:`~repro.serving.service` — the :class:`SolveService` front end:
   ``async submit()/result()/solve()`` plus a synchronous facade, graceful
   drain/shutdown and a rolling metrics snapshot;
@@ -115,14 +116,7 @@ from .requests import JobStatus, SolveRequest, SolveResponse
 from .service import SolveService
 from .supervisor import ReplicaSupervisor
 from .transport import HttpIngress, HttpServiceClient, ServiceClientBase
-from .workers import (
-    BatchOutcome,
-    ProcessWorkerPool,
-    ThreadedWorkerPool,
-    WorkerPool,
-    WorkerStats,
-    create_worker_pool,
-)
+from .workers import BatchOutcome, WorkerPool, WorkerStats
 
 __all__ = [
     "SolveService",
@@ -134,11 +128,8 @@ __all__ = [
     "Batch",
     "BatcherStats",
     "WorkerPool",
-    "ThreadedWorkerPool",
-    "ProcessWorkerPool",
     "BatchOutcome",
     "WorkerStats",
-    "create_worker_pool",
     "ServiceMetrics",
     "MetricsRecorder",
     "LatencyWindow",

@@ -69,7 +69,6 @@ from typing import Optional, Sequence
 
 from ..analysis.tables import render_table
 from .bench import run_load
-from .workers import BACKENDS
 
 #: Schema stamp of the ``--metrics-out`` JSON document.
 METRICS_SCHEMA = "repro.serving"
@@ -82,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Load-generator demo/smoke for the micro-batching SFCP service.",
     )
     parser.add_argument("--workers", type=int, default=4, help="worker shards (default 4)")
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend: persistent threaded shards or a process pool",
-    )
     parser.add_argument("--batch-size", type=int, default=32, help="max requests per batch")
     parser.add_argument(
         "--batch-delay-ms", type=float, default=2.0,
@@ -365,7 +360,6 @@ def serve_http(args, say) -> int:
 
     service_kwargs = dict(
         workers=args.workers,
-        backend=args.backend,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
@@ -394,12 +388,11 @@ def serve_http(args, say) -> int:
             event_log=args.supervisor_log,
         ).start()
         say(f"[repro.serving] replica supervisor: {backend.num_replicas} "
-            f"process(es) x {args.workers} {args.backend} worker(s)")
+            f"process(es) x {args.workers} worker(s)")
     elif auto_scale or args.replicas > 1:
         backend = ReplicaSet(start_replicas, seed=args.seed,
                              event_log=args.supervisor_log, **service_kwargs)
-        say(f"[repro.serving] replica set: {start_replicas} x {args.workers} "
-            f"{args.backend} worker(s)")
+        say(f"[repro.serving] replica set: {start_replicas} x {args.workers} worker(s)")
     else:
         backend = SolveService(seed=args.seed, **service_kwargs)
 
@@ -477,7 +470,6 @@ def run_replica_worker(args, say) -> int:
 
     service = SolveService(
         workers=args.workers,
-        backend=args.backend,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
@@ -686,12 +678,11 @@ def run_burst(args, say) -> int:
                       connect_retries=max(0, args.connect_retries))
     else:
         say(f"[repro.serving] burst of {args.requests} requests (n={args.size}) -> "
-            f"{args.workers} {args.backend} worker(s), batch<= {args.batch_size}, "
+            f"{args.workers} worker(s), batch<= {args.batch_size}, "
             f"delay {args.batch_delay_ms}ms")
         target = {}
     report = run_load(
         workers=args.workers,
-        backend=args.backend,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,

@@ -41,15 +41,15 @@ class Batch:
 
     @property
     def algorithm(self) -> str:
-        return self.key[0]
+        return self.key.algorithm
 
     @property
     def audit(self) -> bool:
-        return self.key[1]
+        return self.key.audit
 
     @property
     def params(self) -> dict:
-        return dict(self.key[3])
+        return dict(self.key.params)
 
 
 @dataclass

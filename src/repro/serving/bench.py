@@ -125,7 +125,6 @@ def run_load(
     *,
     url: Optional[str] = None,
     workers: int = 4,
-    backend: str = "thread",
     max_batch_size: int = 32,
     max_batch_delay: float = 0.002,
     queue_capacity: int = 1024,
@@ -204,9 +203,9 @@ def run_load(
     else:
         config.update(
             workers=workers,
-            backend=backend,
-            # The service's fixed shard placement and batch mode, recorded
-            # so documents stay comparable across versions.
+            # The service's fixed worker pool, shard placement and batch
+            # mode, recorded so documents stay comparable across versions.
+            backend="thread",
             placement="least_loaded",
             mode="packed",
             max_batch_size=max_batch_size,
@@ -216,7 +215,6 @@ def run_load(
         )
         service_kwargs = dict(
             workers=workers,
-            backend=backend,
             max_batch_size=max_batch_size,
             max_batch_delay=max_batch_delay,
             queue_capacity=queue_capacity,
@@ -781,7 +779,6 @@ def run_serving_benchmark(
     requests: int = 64,
     max_batch_size: int = 32,
     max_batch_delay: float = 0.002,
-    backend: str = "thread",
     transports: Sequence[str] = TRANSPORTS,
     process_replicas: int = 2,
 ) -> List[Dict[str, object]]:
@@ -811,7 +808,6 @@ def run_serving_benchmark(
         for transport, replica_mode, chaos_proxy in cells:
             report = run_load(
                 workers=workers,
-                backend=backend,
                 max_batch_size=max_batch_size,
                 max_batch_delay=max_batch_delay,
                 requests=requests,

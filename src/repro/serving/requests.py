@@ -5,7 +5,7 @@ which algorithm to run, whether to audit PRAM conflicts, a scheduling
 priority, and an optional deadline after which the answer is worthless and
 the request should be shed rather than solved late.  Requests carrying the
 same :attr:`SolveRequest.compat_key` may be coalesced into a single
-:func:`repro.partition.solve_batch` call by the micro-batcher.
+packed :func:`repro.partition.solve_batch` call by the micro-batcher.
 
 A :class:`SolveResponse` carries the partition result back together with
 its billing: the per-instance :class:`~repro.partition.BatchItemReport`
@@ -96,12 +96,9 @@ class SolveRequest:
 
     @property
     def compat_key(self) -> CompatKey:
-        """Key under which this request may share a batch with others.
-
-        The sharding ``mode`` is a service-level setting (uniform across
-        the queue), so the key here covers algorithm, audit flag and
-        algorithm params; the batcher operates within one service.
-        """
+        """Key under which this request may share a batch with others:
+        its algorithm, audit flag and algorithm params (see
+        :func:`repro.partition.batch_compat_key`)."""
         return batch_compat_key(self.algorithm, self.audit, params=dict(self.params))
 
     def expired(self, now: Optional[float] = None) -> bool:
@@ -117,8 +114,7 @@ class SolveResponse:
 
     ``cost`` is the request's *billed* share of the batch it rode in — the
     per-instance attribution computed by :func:`repro.partition.solve_batch`
-    (exact measurements in sequential mode, proportional shares of the
-    union in packed mode).
+    (the batch time, and a proportional share of the packed union's work).
     """
 
     request_id: int

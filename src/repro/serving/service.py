@@ -41,7 +41,7 @@ from .batcher import Batch, MicroBatcher
 from .metrics import MetricsRecorder, ServiceMetrics
 from .queue import IngressQueue
 from .requests import JobStatus, SolveRequest, SolveResponse
-from .workers import BatchOutcome, create_worker_pool
+from .workers import BatchOutcome, WorkerPool
 
 
 class SolveService:
@@ -57,10 +57,7 @@ class SolveService:
     Parameters
     ----------
     workers:
-        Number of worker shards.
-    backend:
-        ``"thread"`` (persistent per-worker machines, least-loaded shard)
-        or ``"process"`` (true multi-core via a process pool).
+        Number of worker shards (see :class:`~repro.serving.workers.WorkerPool`).
     max_batch_size, max_batch_delay:
         Micro-batching knobs: a batch dispatches when it reaches
         ``max_batch_size`` requests or has been open ``max_batch_delay``
@@ -69,66 +66,44 @@ class SolveService:
         refined simultaneously, each billed its proportional share).
     queue_capacity:
         Ingress bound; beyond it, submits block (backpressure) or raise.
-    default_algorithm, default_audit:
-        Applied to requests that do not specify their own.
+        The queue's default brown-out policy applies (see
+        :class:`~repro.serving.queue.IngressQueue`): near full, it rejects
+        negative (best-effort) priority classes instead of queueing them.
+    default_algorithm:
+        Applied to requests that do not specify their own; requests that
+        do not set ``audit`` are audited.
     seed:
         Seeds the worker machines (deterministic RANDOM-winner draws).
-    brownout_thresholds, brownout_floors:
-        Queue-occupancy brown-out policy (see
-        :class:`~repro.serving.queue.IngressQueue`): at each occupancy
-        threshold, priority classes below the matching floor are rejected
-        instead of queued.  Defaults shed only negative (best-effort)
-        classes.
-    max_worker_backlog:
-        Instances allowed to sit in worker shard queues before the
-        batcher stops claiming from the ingress queue.  Deep shard queues
-        are invisible latency — work there is already committed, beyond
-        the reach of priorities, deadlines and brown-out — so bounding
-        them keeps overload *in the ingress queue* where admission
-        control can discriminate.  Defaults to ``2 * workers *
-        max_batch_size`` (every shard double-buffered); ``None`` disables
-        the gate.
+
+    The batcher stops claiming from the ingress queue while the worker
+    shards hold ``2 * workers * max_batch_size`` unsolved instances (every
+    shard double-buffered).  Deep shard queues are invisible latency —
+    work there is already committed, beyond the reach of priorities,
+    deadlines and brown-out — so bounding them keeps overload *in the
+    ingress queue* where admission control can discriminate.
     """
 
     def __init__(
         self,
         *,
         workers: int = 4,
-        backend: str = "thread",
         max_batch_size: int = 32,
         max_batch_delay: float = 0.002,
         queue_capacity: int = 1024,
         default_algorithm: str = "jaja-ryu",
-        default_audit: bool = True,
         seed: int = 0,
-        brownout_thresholds=(0.85, 0.95),
-        brownout_floors=(-1, 0),
-        max_worker_backlog: Optional[int] = -1,
     ) -> None:
         self.default_algorithm = default_algorithm
-        self.default_audit = bool(default_audit)
         self._metrics = MetricsRecorder()
-        self._queue = IngressQueue(
-            queue_capacity,
-            on_shed=self._on_shed,
-            brownout_thresholds=brownout_thresholds,
-            brownout_floors=brownout_floors,
-        )
-        self._pool = create_worker_pool(backend, workers, seed=seed)
-        if max_worker_backlog == -1:
-            max_worker_backlog = 2 * workers * max_batch_size
-        self.max_worker_backlog = max_worker_backlog
-        backpressure = None
-        if max_worker_backlog is not None:
-            backpressure = (
-                lambda: self._pool.backlog >= self.max_worker_backlog
-            )
+        self._queue = IngressQueue(queue_capacity, on_shed=self._on_shed)
+        self._pool = WorkerPool(workers, seed=seed)
+        max_backlog = 2 * workers * max_batch_size
         self._batcher = MicroBatcher(
             self._queue,
             self._dispatch,
             max_batch_size=max_batch_size,
             max_batch_delay=max_batch_delay,
-            backpressure=backpressure,
+            backpressure=lambda: self._pool.backlog >= max_backlog,
         )
         self._lock = threading.Lock()
         self._futures: Dict[int, "Future[SolveResponse]"] = {}
@@ -164,7 +139,7 @@ class SolveService:
             function,
             initial_labels,
             algorithm=algorithm or self.default_algorithm,
-            audit=self.default_audit if audit is None else audit,
+            audit=True if audit is None else audit,
             priority=priority,
             timeout=timeout,
             **params,

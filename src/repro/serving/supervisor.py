@@ -52,7 +52,6 @@ from .replicas import ReplicaSet
 #: service_kwargs key -> the ``repro-serve`` flag that carries it to a child.
 _KWARG_FLAGS: Dict[str, str] = {
     "workers": "--workers",
-    "backend": "--backend",
     "max_batch_size": "--batch-size",
     "max_batch_delay": "--batch-delay-ms",   # seconds -> ms at encode time
     "queue_capacity": "--queue-capacity",

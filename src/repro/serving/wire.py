@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -365,18 +365,6 @@ def error_document(
     if retry_after is not None:
         error["retry_after_seconds"] = float(retry_after)
     return {"schema": WIRE_SCHEMA, "version": WIRE_VERSION, "error": error}
-
-
-def batch_document(responses: Sequence[SolveResponse]) -> Dict[str, Any]:
-    """Batch answer: per-item wire responses plus summary counters."""
-    encoded = [encode_response(r) for r in responses]
-    return {
-        "schema": WIRE_SCHEMA,
-        "version": WIRE_VERSION,
-        "responses": encoded,
-        "completed": sum(1 for r in responses if r.status is JobStatus.DONE),
-        "errors": sum(1 for r in responses if r.status is not JobStatus.DONE),
-    }
 
 
 def job_document(request_id: int, status: JobStatus, response: Optional[SolveResponse]) -> Dict[str, Any]:

@@ -21,10 +21,9 @@ def _mixed_batch(seed=0, sizes=(48, 37, 64, 21)):
     ]
 
 
-@pytest.mark.parametrize("mode", ["packed", "sequential"])
-def test_solve_batch_matches_per_instance_runs(mode):
+def test_solve_batch_matches_per_instance_runs():
     instances = _mixed_batch()
-    batch = solve_batch(instances, mode=mode)
+    batch = solve_batch(instances)
     assert len(batch) == len(instances)
     for (f, b), result in zip(instances, batch.results):
         reference = linear_partition(f, b)
@@ -32,11 +31,10 @@ def test_solve_batch_matches_per_instance_runs(mode):
         assert result.num_blocks == reference.num_blocks
 
 
-@pytest.mark.parametrize("mode", ["packed", "sequential"])
-def test_solve_batch_audit_false_same_labels(mode):
+def test_solve_batch_audit_false_same_labels():
     instances = _mixed_batch(seed=7)
-    audited = solve_batch(instances, mode=mode, audit=True)
-    fast = solve_batch(instances, mode=mode, audit=False)
+    audited = solve_batch(instances, audit=True)
+    fast = solve_batch(instances, audit=False)
     for a, f in zip(audited.results, fast.results):
         assert np.array_equal(a.labels, f.labels)
     # skipping the audit must not change the charged accounting
@@ -65,16 +63,9 @@ def test_coarsest_partition_audit_flag_all_algorithms(algorithm):
     assert np.array_equal(audited.labels, fast.labels)
 
 
-def test_sequential_attribution_sums_to_total():
-    instances = _mixed_batch(seed=3)
-    batch = solve_batch(instances, mode="sequential")
-    assert sum(item.work for item in batch.per_instance) == batch.cost.work
-    assert sum(item.time for item in batch.per_instance) == batch.cost.time
-
-
 def test_packed_attribution_shares_work_and_time():
     instances = _mixed_batch(seed=4)
-    batch = solve_batch(instances, mode="packed")
+    batch = solve_batch(instances)
     total_n = sum(len(f) for f, _ in instances)
     # all instances ran concurrently: each sees the batch time
     times = {item.time for item in batch.per_instance}
@@ -88,27 +79,24 @@ def test_packed_attribution_shares_work_and_time():
 def test_solve_batch_shares_one_machine():
     instances = _mixed_batch(seed=9, sizes=(30, 41))
     machine = Machine.default()
-    batch = solve_batch(instances, machine=machine, mode="sequential")
+    batch = solve_batch(instances, machine=machine)
     assert machine.work == batch.cost.work > 0
     rows = batch.as_rows()
     assert rows[0]["instance"] == 0 and rows[1]["instance"] == 1
 
 
-def test_solve_batch_empty_and_bad_mode():
+def test_solve_batch_rejects_empty_batch():
     from repro.errors import BatchError
 
     # an empty batch is a scheduler bug and must fail loudly, not deep in
     # the packing code
     with pytest.raises(BatchError, match="empty batch"):
         solve_batch([])
-    with pytest.raises(ValueError, match="batch mode"):
-        solve_batch(_mixed_batch(), mode="parallel")
 
 
-@pytest.mark.parametrize("mode", ["packed", "sequential"])
-def test_solve_batch_single_instance_degenerates_cleanly(mode):
+def test_solve_batch_single_instance_degenerates_cleanly():
     f, b = random_function(40, num_labels=3, seed=2)
-    batch = solve_batch([(f, b)], mode=mode)
+    batch = solve_batch([(f, b)])
     assert len(batch) == 1
     assert same_partition(batch.results[0].labels, linear_partition(f, b).labels)
     assert batch.per_instance[0].work == batch.cost.work
@@ -155,7 +143,7 @@ def test_batch_compat_key_groups_requests():
     assert base == batch_compat_key("jaja-ryu", None)  # None normalises to audited
     assert base != batch_compat_key("jaja-ryu", False)
     assert base != batch_compat_key("hopcroft", True)
-    assert base != batch_compat_key("jaja-ryu", True, mode="sequential")
+    assert (base.algorithm, base.audit, base.params) == ("jaja-ryu", True, ())
     assert batch_compat_key("jaja-ryu", True, params={"msp_algorithm": "simple"}) != base
     # keys are hashable and order-insensitive in their params
     assert batch_compat_key("jaja-ryu", True, params={"a": 1, "b": 2}) == batch_compat_key(
@@ -173,14 +161,11 @@ def test_solve_batch_accepts_instances_and_forwards_kwargs():
         assert same_partition(result.labels, linear_partition(f, b).labels)
 
 
-@pytest.mark.parametrize("mode", ["packed", "sequential"])
-def test_batch_cost_is_delta_on_a_reused_machine(mode):
+def test_batch_cost_is_delta_on_a_reused_machine():
     # a shared machine carries charges from earlier batches; BatchResult.cost
     # must report only this batch's delta
     machine = Machine.default()
-    first = solve_batch(_mixed_batch(seed=1, sizes=(20, 30)), machine=machine, mode=mode)
-    second = solve_batch(_mixed_batch(seed=2, sizes=(20, 30)), machine=machine, mode=mode)
+    first = solve_batch(_mixed_batch(seed=1, sizes=(20, 30)), machine=machine)
+    second = solve_batch(_mixed_batch(seed=2, sizes=(20, 30)), machine=machine)
     assert first.cost.work > 0 and second.cost.work > 0
     assert machine.work == first.cost.work + second.cost.work
-    if mode == "sequential":
-        assert sum(i.work for i in second.per_instance) == second.cost.work

@@ -2,26 +2,23 @@
 
 Two invariants protect the PERFORMANCE.md contract:
 
-* every sort kernel realises exactly the stability-unique permutation
-  ``np.argsort(keys, kind="stable")`` — so swapping kernels can never
-  change labels, fingerprints or results anywhere downstream;
+* ``sort_indices`` realises exactly the stability-unique permutation
+  ``np.argsort(keys, kind="stable")``, through the radix passes and the
+  small-input fallback alike — so the host realisation can never change
+  labels, fingerprints or results anywhere downstream;
 * the frontier-contracted circuit labeling reproduces both the labels and
   the byte-identical cost accounting of the reference doubling loop.
 """
 import numpy as np
 import pytest
 
-from repro.pram import Machine, arbitrary_crcw
+from repro.pram import Machine, kernels
 from repro.pram.kernels import (
     PAIR_PACK_MAX_RANGE,
     _RADIX_MIN_N,
-    available_sort_kernels,
     cycle_min_labels,
-    default_sort_kernel,
     radix_kernel,
-    set_default_sort_kernel,
     sort_indices,
-    use_sort_kernel,
 )
 from repro.primitives import sort_by_keys, sort_pairs
 from repro.primitives.euler_tour import (
@@ -51,17 +48,24 @@ def _random_sort_cases(seed: int, count: int):
     return cases
 
 
-@pytest.mark.parametrize("kernel", available_sort_kernels())
-def test_sort_kernels_match_stable_argsort(kernel):
-    # >= 50 generated cases per kernel (plus the edge cases above)
-    for keys, key_range in _random_sort_cases(seed=hash(kernel) % 2**31, count=60):
-        perm = sort_indices(keys, key_range, kernel=kernel)
+#: ``_RADIX_MIN_N`` settings that force every input through one realisation.
+_FORCED = {"radix": 0, "argsort": 1 << 62}
+
+
+@pytest.mark.parametrize("crossover", list(_FORCED.values()), ids=list(_FORCED))
+def test_sort_indices_matches_stable_argsort(crossover, monkeypatch):
+    # sort_indices picks the radix passes or the stable-argsort fallback
+    # from the input size; forcing the crossover runs >= 50 generated
+    # cases (plus the edge cases above) through each realisation
+    monkeypatch.setattr(kernels, "_RADIX_MIN_N", crossover)
+    for keys, key_range in _random_sort_cases(seed=0, count=60):
+        perm = sort_indices(keys, key_range)
         expected = np.argsort(keys, kind="stable")
         # stability makes the correct permutation unique, so exact equality
         # simultaneously checks permutation validity, sortedness and
         # stability on equal keys
         assert perm.dtype == np.int64
-        assert np.array_equal(perm, expected), (kernel, keys.dtype, key_range, len(keys))
+        assert np.array_equal(perm, expected), (crossover, keys.dtype, key_range, len(keys))
 
 
 def test_radix_kernel_handles_every_pass_count():
@@ -75,40 +79,16 @@ def test_radix_kernel_handles_every_pass_count():
         )
 
 
-def test_unknown_kernel_rejected():
-    with pytest.raises(KeyError, match="unknown sort kernel"):
-        sort_indices(np.arange(4), 4, kernel="bogus")
-    with pytest.raises(KeyError, match="unknown sort kernel"):
-        set_default_sort_kernel("bogus")
-
-
-def test_use_sort_kernel_context_restores_default():
-    before = default_sort_kernel()
-    with use_sort_kernel("argsort"):
-        assert default_sort_kernel() == "argsort"
-    assert default_sort_kernel() == before
-
-
-def test_machine_threads_kernel_through_clones():
-    m = Machine(arbitrary_crcw(), sort_kernel="argsort")
-    assert m.clone_for(m.model).sort_kernel == "argsort"
-    assert m.resolve(False).sort_kernel == "argsort"
-    from repro.pram.models import ArbitraryWinner
-
-    assert m.with_winner(ArbitraryWinner.LAST).sort_kernel == "argsort"
-
-
-def test_kernel_choice_never_moves_results_or_charged_totals(rng):
+def test_kernel_choice_never_moves_results_or_charged_totals(rng, monkeypatch):
     keys = rng.integers(0, 5000, 3000)
-    outcomes = {}
-    for kernel in available_sort_kernels():
-        m = Machine.default(sort_kernel=kernel)
-        perm = sort_by_keys(keys, machine=m)
-        outcomes[kernel] = (perm, m.time, m.work, m.counter.charged_work)
-    baseline = outcomes["argsort"]
-    for kernel, (perm, time, work, charged) in outcomes.items():
-        assert np.array_equal(perm, baseline[0])
-        assert (time, work, charged) == baseline[1:]
+    expected = np.argsort(keys, kind="stable")
+    charged = set()
+    for crossover in _FORCED.values():
+        monkeypatch.setattr(kernels, "_RADIX_MIN_N", crossover)
+        m = Machine.default()
+        assert np.array_equal(sort_by_keys(keys, machine=m), expected)
+        charged.add((m.time, m.work, m.counter.charged_work))
+    assert len(charged) == 1
 
 
 # ----------------------------------------------------------------------

@@ -141,7 +141,6 @@ def test_every_dispatched_batch_bills_exactly_one_share_per_member(specs, max_ba
             [r.instance for r in batch.requests],
             algorithm=batch.algorithm,
             audit=batch.audit,
-            mode="packed",
             **batch.params,
         )
         assert len(result.per_instance) == len(batch.requests)

@@ -50,10 +50,9 @@ def test_async_burst_coalesces_and_matches_direct_solves():
         assert same_partition(response.labels, direct.labels)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_backends_match_direct_coarsest_partition(backend):
+def test_worker_pool_matches_direct_coarsest_partition():
     workload = _instances(6, n=40, seed=7)
-    with SolveService(workers=2, backend=backend, max_batch_delay=0.01) as svc:
+    with SolveService(workers=2, max_batch_delay=0.01) as svc:
         ids = [svc.submit(f, b) for f, b in workload]
         responses = [svc.result(request_id, timeout=60) for request_id in ids]
     for (f, b), response in zip(workload, responses):
@@ -151,16 +150,6 @@ def test_raise_for_status_maps_shed_and_done():
         shed = svc.result(shed_id, timeout=30)
     with pytest.raises(DeadlineExceededError, match="shed"):
         shed.raise_for_status()
-
-
-def test_process_pool_honors_configured_seed():
-    from repro.serving import create_worker_pool
-
-    pool = create_worker_pool("process", 1, seed=7)
-    try:
-        assert pool.seed == 7  # forwarded into every child-solve payload
-    finally:
-        pool.shutdown()
 
 
 def test_top_level_solve_service_export_is_lazy():

@@ -13,6 +13,7 @@ suite; everything uses small instances and aggressive heartbeat/backoff
 knobs to keep wall-clock in check.
 """
 
+import inspect
 import os
 import signal
 import time
@@ -28,7 +29,9 @@ from repro.serving import (
     ReplicaSupervisor,
     SolveService,
 )
+from repro.serving.__main__ import build_parser
 from repro.serving.requests import SolveRequest
+from repro.serving.supervisor import _KWARG_FLAGS, _worker_argv
 
 
 def _request(rng, n=200):
@@ -259,6 +262,15 @@ def test_supervisor_event_log_is_append_only_jsonl(tmp_path):
 def test_unknown_service_kwarg_is_rejected_before_any_spawn():
     with pytest.raises(ValueError, match="no --replica-worker flag"):
         ReplicaSupervisor(1, service_kwargs=dict(bogus=1))
+
+
+def test_every_service_knob_has_a_replica_worker_flag():
+    # a process replica must accept every SolveService setting; only the
+    # seed is derived per slot (seed + 1000 * i) instead of passed through
+    params = inspect.signature(SolveService).parameters
+    knobs = {name: p.default for name, p in params.items() if name != "seed"}
+    assert set(knobs) == set(_KWARG_FLAGS)
+    build_parser().parse_args(["--replica-worker", *_worker_argv(knobs)])
 
 
 def test_supervisor_context_manager_round_trip():
