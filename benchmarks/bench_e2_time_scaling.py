@@ -3,7 +3,6 @@
 Paper claim reproduced: Theorem 5.1's O(log n) running time; the
 Srikant-style CREW baseline needs Θ(log² n) rounds.
 """
-import numpy as np
 import pytest
 
 from repro.bench import SweepConfig

@@ -3,7 +3,6 @@
 
 Run with:  python examples/quickstart.py
 """
-import numpy as np
 
 from repro import Machine, coarsest_partition, linear_partition, same_partition
 from repro.pram import cost_report, phase_report

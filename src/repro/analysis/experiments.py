@@ -10,7 +10,7 @@ tests assert the acceptance criteria on (smaller) sweeps of the same rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from ..strings import (
     sort_strings_doubling,
     sort_strings_sequential,
 )
-from ..graphs.generators import cycles_of_equal_length
 from .workloads import DEFAULT_SWEEP, circular_string_workloads, get_workload, string_list_workloads
 
 Row = Dict[str, object]
@@ -191,7 +190,6 @@ def run_e6_shrink(
 
 def _shrink_trace(symbols: np.ndarray) -> List[int]:
     """Lengths of the working string after each pair-encoding round."""
-    from ..primitives.prefix_sums import reduce_min
     from ..strings.pair_encoding import circular_pairs, rank_replace
     from ..strings.period import smallest_circular_period
 

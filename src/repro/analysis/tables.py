@@ -8,7 +8,7 @@ so benches, examples and EXPERIMENTS.md all show the same layout.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 Row = Dict[str, object]

@@ -8,8 +8,8 @@ same instances the benches measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -13,8 +13,8 @@ one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import experiments as exp
 from ..analysis.tables import pivot, render_series, render_table

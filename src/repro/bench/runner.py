@@ -12,12 +12,12 @@ the printed tables and the persisted perf trajectory always agree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .artifacts import build_artifact, write_artifact
 from .config import SweepConfig
-from .registry import ExperimentSpec, get_experiment
+from .registry import get_experiment
 
 Row = Dict[str, object]
 

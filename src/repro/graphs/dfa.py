@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import InvalidInstanceError
 from ..pram.machine import Machine
-from ..types import PartitionResult, as_int_array
+from ..types import PartitionResult
 from .functional_graph import validate_function
 
 

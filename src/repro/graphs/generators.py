@@ -33,7 +33,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from .functional_graph import validate_function
 
 Instance = Tuple[np.ndarray, np.ndarray]
 

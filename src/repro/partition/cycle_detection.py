@@ -21,7 +21,7 @@ nodes): same O(log n) time, but Θ(n log n) work — part of the E9 ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

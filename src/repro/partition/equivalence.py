@@ -35,7 +35,6 @@ import numpy as np
 from ..errors import InvalidInstanceError
 from ..pram.machine import Machine
 from ..primitives.integer_sort import SortCostModel, rank_values
-from ..primitives.prefix_sums import prefix_sums
 from ..strings.string_sorting import sort_strings
 from ..types import EquivalenceResult, as_int_array
 from .problem import canonical_labels

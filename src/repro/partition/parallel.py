@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..pram.machine import Machine, resolve_machine
 from ..primitives.integer_sort import SortCostModel
 from ..types import PartitionResult
@@ -71,6 +69,12 @@ def jaja_ryu_partition(
     -------
     PartitionResult
         Canonical Q-labels, the block count, and the cost summary.
+
+    The opening densification of ``A_B`` and the closing renumbering of
+    the Q-labels are each charged as one linear-work step.  On the host
+    both run :func:`canonical_labels`, which renumbers in O(n) when the
+    labels' range is below ``4n``: always for the Q-labels, which lie
+    below ``n``, and for ``A_B`` unless its values are sparse.
     """
     check_msp_algorithm(msp_algorithm)
     instance = SFCPInstance.from_arrays(function, initial_labels)

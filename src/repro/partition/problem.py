@@ -14,7 +14,7 @@ from different algorithms directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,14 +31,61 @@ def validate_labels(labels, n: int, *, name: str = "labels") -> np.ndarray:
     return arr
 
 
+def _dense_offsets(arr: np.ndarray) -> Optional[np.ndarray]:
+    """``arr - arr.min()`` as int64 (``arr`` itself when that is already
+    so) when ``arr`` is a non-empty 1-D integer array whose range
+    ``max - min`` is below ``4n``, else ``None``.
+
+    Such labels (every solver's output, densified initial labels, slices of
+    a packed batch) index an O(n) scratch table directly, so counting and
+    renumbering them needs no sort.
+    """
+    if arr.ndim != 1 or not arr.size or not np.issubdtype(arr.dtype, np.integer):
+        return None
+    lo = arr.min()
+    if int(arr.max()) - int(lo) >= 4 * arr.size:
+        return None
+    if lo == 0 and arr.dtype == np.int64:
+        return arr  # canonical labels: callers only read the offsets
+    # unsafe casting wraps uint64 values above 2**63, but the difference
+    # (below 4n) comes out exact modulo 2**64
+    return np.subtract(arr, lo, dtype=np.int64, casting="unsafe")
+
+
 def canonical_labels(labels) -> np.ndarray:
     """Renumber labels to consecutive integers by first appearance.
 
     Two label arrays describe the same partition iff their canonical forms
     are equal; every algorithm in this package returns canonical labels so
     results are directly comparable with ``np.array_equal``.
+
+    Dense 1-D integer labels (range below ``4n``, negative ones included)
+    are renumbered in O(n): a scatter-min finds each label's first index,
+    the nodes sitting at their label's first index are flagged, one cumsum
+    of the flags numbers them, and two gathers hand each node its label's
+    number.  Every other input — non-integer, n-D, empty or sparse — takes
+    the ``np.unique`` sort, which yields the same labels.
     """
     arr = np.asarray(labels)
+    offsets = _dense_offsets(arr)
+    if offsets is None:
+        return _canonical_labels_by_sort(arr)
+    n = len(offsets)
+    idx = np.arange(n, dtype=np.int64)
+    # At least n long: a scratch sized to a range below n fragmented the
+    # heap and raised the solve's peak RSS.
+    scratch = np.full(max(int(offsets.max()) + 1, n), n, dtype=np.int64)
+    np.minimum.at(scratch, offsets, idx)  # defined for repeated indices
+    first = scratch[offsets]  # the first index of each node's label
+    del scratch, offsets
+    number = np.cumsum(first == idx, dtype=np.int64)
+    number -= 1
+    return number[first]
+
+
+def _canonical_labels_by_sort(arr: np.ndarray) -> np.ndarray:
+    """:func:`canonical_labels` by an ``np.unique`` sort: any dtype and
+    shape, and the reference for the O(n) path."""
     _, first_index, inverse = np.unique(arr, return_index=True, return_inverse=True)
     # np.unique orders by value; re-rank by first appearance instead.
     order_by_appearance = np.argsort(first_index, kind="stable")
@@ -59,12 +106,11 @@ def same_partition(labels_a, labels_b) -> bool:
 def num_blocks(labels) -> int:
     """Number of distinct blocks in a label array."""
     arr = np.asarray(labels)
-    if arr.ndim == 1 and arr.size and np.issubdtype(arr.dtype, np.integer):
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo >= 0 and hi < 4 * arr.size:
-            # dense non-negative labels (the canonical form every solver
-            # returns): one O(n + range) histogram beats a sort/hash unique
-            return int(np.count_nonzero(np.bincount(arr, minlength=1)))
+    offsets = _dense_offsets(arr)
+    if offsets is not None:
+        # dense labels (the canonical form every solver returns): one
+        # O(n + range) histogram beats a sort/hash unique
+        return int(np.count_nonzero(np.bincount(offsets)))
     return int(len(np.unique(arr)))
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
 from ..pram.machine import Machine, resolve_machine
 from ..types import PartitionResult
 from .problem import SFCPInstance, canonical_labels, num_blocks

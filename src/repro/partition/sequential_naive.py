@@ -16,7 +16,7 @@ import numpy as np
 
 from ..pram.machine import Machine, resolve_machine
 from ..types import PartitionResult
-from .problem import SFCPInstance, canonical_labels, num_blocks, validate_labels
+from .problem import SFCPInstance, canonical_labels, num_blocks
 
 
 def naive_partition(

@@ -32,7 +32,7 @@ from ..pram.kernels import cycle_min_labels
 from ..pram.machine import Machine
 from ..types import as_int_array
 from .integer_sort import SortCostModel, sort_pairs
-from .list_ranking import optimal_rank, wyllie_rank
+from .list_ranking import optimal_rank
 from .prefix_sums import prefix_sums
 
 

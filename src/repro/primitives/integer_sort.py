@@ -27,7 +27,7 @@ the difference (E9 ablation).
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -35,6 +35,10 @@ from ..types import as_int_array
 from .pointer_jumping import frontier_jump
 
 
+#: Lists this short are ranked by :func:`wyllie_rank`, without rulers.
+_WYLLIE_MAX_N = 4
+
+
 def _ensure_machine(machine: Optional[Machine]) -> Machine:
     return machine if machine is not None else Machine.default()
 
@@ -189,13 +193,31 @@ def optimal_rank(
     honest even on adversarial inputs.
     """
     m = _ensure_machine(machine)
-    succ = as_int_array(successor, "successor").copy()
+    succ = as_int_array(successor, "successor")
     _validate_successor_list(succ)
     n = len(succ)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if n <= 4:
+    if n <= _WYLLIE_MAX_N:
         return wyllie_rank(succ, machine=m)
+    return _ruling_set_rank(succ, m, ruler_spacing)[0]
+
+
+def _ruling_set_rank(
+    succ: np.ndarray,
+    m: Machine,
+    ruler_spacing: Optional[int] = None,
+    *,
+    tails: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`optimal_rank` of a validated list of more than
+    ``_WYLLIE_MAX_N`` nodes: ``(ranks, tail)``.
+
+    With ``tails`` set, ``tail[x]`` is the tail of ``x``'s list, read off
+    the contracted ruler list without a charge of its own; otherwise
+    ``tail`` is ``None``.
+    """
+    n = len(succ)
     spacing = ruler_spacing if ruler_spacing is not None else max(2, int(np.ceil(np.log2(n))))
 
     with m.span("optimal_rank"):
@@ -241,7 +263,14 @@ def optimal_rank(
         ranks[rulers] = c_rank
         ranks = ranks[owner_ruler] - local_offset
         ranks[is_tail] = 0
-    return ranks
+        tail = None
+        if tails:
+            # The doubling converged, so every ruler's c_succ is its list's
+            # tail, and a node shares its owner ruler's tail.  next_ruler,
+            # spent, holds each ruler's tail for the gather.
+            next_ruler[rulers] = rulers[c_succ]
+            tail = next_ruler[owner_ruler]
+    return ranks, tail
 
 
 def rank_cycle(
@@ -249,7 +278,6 @@ def rank_cycle(
     heads,
     *,
     machine: Optional[Machine] = None,
-    method: str = "optimal",
 ) -> np.ndarray:
     """Rank nodes around cycles, starting from each cycle's designated head.
 
@@ -260,7 +288,11 @@ def rank_cycle(
     Implemented by breaking the cycle just before its head (the head's
     predecessor becomes a tail) and ranking the resulting open lists; the
     rank around the cycle is then ``cycle_length - 1 - rank_to_tail`` for
-    non-head nodes.
+    non-head nodes.  The head's rank to tail, ``cycle_length - 1``, reaches
+    the whole cycle through the cycle's tail.  The model finds every node's
+    tail by pointer jumping; the host reads it off the ruling-set ranking's
+    contracted list instead and charges the jumping in closed form, at
+    exactly what :func:`_tail_of` charges.
     """
     m = _ensure_machine(machine)
     succ = as_int_array(successor, "successor")
@@ -277,26 +309,35 @@ def rank_cycle(
         # Break the edge entering each head: nodes whose successor is a head
         # become tails.
         broken = np.where(head_mask[succ], np.arange(n, dtype=np.int64), succ)
-        if method == "wyllie":
+        if n <= _WYLLIE_MAX_N:
             to_tail = wyllie_rank(broken, machine=m)
+            m.tick(n)
+            tail_of = _tail_of(broken, m)
         else:
-            to_tail = optimal_rank(broken, machine=m)
+            to_tail, tail_of = _ruling_set_rank(broken, m, tails=True)
+            m.tick(n)
+            # _tail_of's frontier_jump ticks n per round: ceil(log2 D)
+            # doubling rounds, D >= 2 the longest distance to a tail, plus
+            # the round that finds the frontier empty (one round if D <= 1).
+            m.charge_rounds(n, max(0, int(to_tail.max()) - 1).bit_length() + 1)
         # At a head, the distance to the tail of its broken list equals
         # (cycle length - 1).  Broadcast that value to the whole cycle via
         # the (unique per cycle) tail node, then convert distance-to-tail
         # into rank-from-head.
-        m.tick(n)
         heads_idx = np.flatnonzero(head_mask)
-        tail_of = _tail_of(broken, m)
         per_tail = np.zeros(n, dtype=np.int64)
         per_tail[tail_of[heads_idx]] = to_tail[heads_idx]
-        length_minus1 = per_tail[tail_of]
-        rank = length_minus1 - to_tail
+        rank = per_tail[tail_of] - to_tail
     return rank
 
 
 def _tail_of(successor: np.ndarray, machine: Machine) -> np.ndarray:
-    """Fixed point of pointer jumping on an acyclic successor list."""
+    """Fixed point of pointer jumping on an acyclic successor list.
+
+    :func:`rank_cycle` uses it on lists of at most ``_WYLLIE_MAX_N`` nodes;
+    on longer ones it is the reference for the tails and the charge that
+    :func:`_ruling_set_rank` and the closed form stand in for.
+    """
     succ = successor.copy()
     n = len(succ)
     rounds = int(np.ceil(np.log2(max(2, n)))) + 1

@@ -25,7 +25,7 @@ A ``key`` function turns the routines into sorters of arbitrary items
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 

@@ -23,7 +23,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..pram.machine import Machine
-from ..types import as_int_array
 
 
 def _ensure_machine(machine: Optional[Machine]) -> Machine:

@@ -73,7 +73,7 @@ import threading
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import FramingError, WireFormatError

@@ -22,7 +22,7 @@ import queue as _queue_mod
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..errors import ServiceError
@@ -38,7 +38,6 @@ class BatchOutcome:
 
     worker_id: int
     result: BatchResult
-    solved_at: float = field(default_factory=time.monotonic)
 
 
 @dataclass

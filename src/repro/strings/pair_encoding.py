@@ -27,7 +27,6 @@ import numpy as np
 
 from ..pram.machine import Machine
 from ..primitives.integer_sort import SortCostModel, rank_pairs
-from ..primitives.prefix_sums import prefix_sums
 from .alphabet import BLANK, validate_string
 
 

@@ -34,16 +34,15 @@ Baselines for experiment E4:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..pram.machine import Machine
-from ..primitives.first_one import lexicographic_compare
 from ..primitives.integer_sort import SortCostModel, sort_by_keys
 from ..primitives.merge import merge_sort_indices_by_comparator
 from ..types import StringSortResult
-from .alphabet import BLANK, concatenate_with_offsets, validate_string
+from .alphabet import concatenate_with_offsets, validate_string
 from .pair_encoding import linear_pairs, rank_replace
 
 

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    BOUNDS,
     best_matching_bound,
     bound_ratio_series,
     circular_string_workloads,

@@ -1,8 +1,7 @@
 """Tests for the cycle-labelling and tree-labelling phases in isolation."""
 import numpy as np
-import pytest
 
-from repro.graphs.functional_graph import analyze_structure, cycle_members
+from repro.graphs.functional_graph import analyze_structure
 from repro.graphs.generators import random_function, random_permutation
 from repro.partition import (
     brute_force_coarsest,

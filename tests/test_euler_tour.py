@@ -4,7 +4,6 @@ import pytest
 
 from repro.graphs.functional_graph import analyze_structure
 from repro.graphs.generators import random_function, tree_heavy
-from repro.pram import Machine
 from repro.primitives import (
     build_euler_structure,
     forest_structure,

@@ -5,7 +5,6 @@ import py_compile
 import subprocess
 import sys
 
-import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 EXAMPLES = REPO / "examples"

@@ -1,6 +1,5 @@
 """Tests for the experiment runners (acceptance criteria of DESIGN.md §4)."""
 import numpy as np
-import pytest
 
 from repro.analysis import (
     bound_ratio_series,

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pram import Machine
 from repro.primitives import first_difference, first_one, lexicographic_compare
 
 

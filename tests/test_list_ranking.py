@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pram import Machine
 from repro.primitives import optimal_rank, rank_cycle, wyllie_rank
+from repro.primitives.list_ranking import _ruling_set_rank, _tail_of
 from repro.testing import random_open_list, reversed_layout_list, sequential_layout_list
 
 
@@ -119,3 +120,64 @@ def test_optimal_rank_charged_cost_stays_honest_under_bad_spacing(rng):
     assert np.array_equal(got, expect)
     assert m.work >= 512
     assert m.time >= 512  # the single sequential walk really is charged per hop
+
+
+def cycles_with_heads(lengths, loops=0, seed=0):
+    """Cycles of the given lengths plus ``loops`` headless self-loops (the
+    tree nodes of step 2's ranking input), node ids shuffled, one random
+    head per cycle."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = int(lengths.sum()) + loops
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, n + 1, dtype=np.int64)
+    nxt[ends - 1] = ends - lengths
+    nxt[n - loops :] = np.arange(n - loops, n)
+    node = rng.permutation(n)
+    succ = np.empty(n, dtype=np.int64)
+    succ[node] = node[nxt]
+    heads = np.zeros(n, dtype=bool)
+    heads[node[ends - lengths + rng.integers(0, lengths)]] = True
+    return succ, heads
+
+
+def rank_cycle_reference(succ, heads, machine):
+    """rank_cycle with every tail found by ``_tail_of``'s pointer jumping."""
+    n = len(succ)
+    with machine.span("rank_cycle"):
+        machine.tick(n)
+        broken = np.where(heads[succ], np.arange(n), succ)
+        to_tail = optimal_rank(broken, machine=machine)
+        machine.tick(n)
+        tail = _tail_of(broken, machine)
+        per_tail = np.zeros(n, dtype=np.int64)
+        per_tail[tail[heads]] = to_tail[heads]
+        return per_tail[tail] - to_tail
+
+
+PARITY_CASES = {
+    **{f"{copies}x{length}": ([length] * copies, 0) for length in (1, 2, 3, 4, 5) for copies in (1, 3)},
+    **{f"2^{k}{extra:+d}": ([2**k + extra, 3], 0) for k in (3, 6, 10) for extra in (-1, 0, 1, 2)},
+    "one_long": ([5000], 0),
+    "2048_short": ([1500, 700] + [32] * 2048, 0),
+    "forest_shape": ([40, 9, 1, 2], 3000),
+    "loops_only_n4": ([], 4),
+    "n4_with_loop": ([3], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_rank_cycle_matches_tail_of_reference(case):
+    # The ruling-set tails and the closed-form charge stand in for
+    # _tail_of's pointer jumping: same ranks, same time, work and spans.
+    lengths, loops = PARITY_CASES[case]
+    succ, heads = cycles_with_heads(lengths, loops, seed=len(case))
+    m_ref, m_new = Machine.default(), Machine.default()
+    expect = rank_cycle_reference(succ, heads, m_ref)
+    got = rank_cycle(succ, heads, machine=m_new)
+    assert np.array_equal(got, expect)
+    assert m_new.counter.summary() == m_ref.counter.summary()
+    if len(succ) > 4:
+        broken = np.where(heads[succ], np.arange(len(succ)), succ)
+        _, tail = _ruling_set_rank(broken, Machine.default(), tails=True)
+        assert np.array_equal(tail, _tail_of(broken, Machine.default()))

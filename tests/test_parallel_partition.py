@@ -11,7 +11,6 @@ from repro.graphs.generators import (
     random_permutation,
     tree_heavy,
 )
-from repro.pram import Machine
 from repro.partition import (
     brute_force_coarsest,
     coarsest_partition,

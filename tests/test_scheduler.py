@@ -1,5 +1,4 @@
 """Tests for Brent scheduling (StepProfile, speedup sweeps)."""
-import numpy as np
 import pytest
 
 from repro.errors import SchedulingError

@@ -2,7 +2,6 @@
 and the micro-batcher (compat-key coalescing, size/delay caps)."""
 import time
 
-import numpy as np
 import pytest
 
 from repro.errors import QueueFullError

@@ -5,11 +5,9 @@ suite exercises over the wire."""
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import (
-    QueueFullError,
     ReplicaUnavailableError,
     ServiceError,
     ServiceShutdownError,

@@ -2,7 +2,6 @@
 parity with direct solves, deadline shedding, graceful shutdown, metrics."""
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro.errors import ServiceShutdownError

@@ -56,7 +56,6 @@ from repro.serving import (
     JobStatus,
     ReplicaSet,
     ReplicaSupervisor,
-    SolveRequest,
     SolveResponse,
     SolveService,
 )
