@@ -11,7 +11,11 @@ same circuit).
 :func:`find_cycle_nodes` implements exactly that.  As a structural bonus,
 the circuit id of the forward arc ``(x, f(x))`` of a cycle node ``x``
 identifies ``x``'s cycle (all forward arcs of one cycle trace the same
-circuit), which the cycle-labelling phase reuses.
+circuit), which the cycle-labelling phase reuses.  The ``2n``-arc
+structure is built from ``f``'s in-arc order (one sort of the ``n`` values
+of ``f``) and freed when the call returns.  The result keeps only
+``n``-entry arrays: the cycle mask, the cycle keys and that order, from
+which tree labeling derives the structure of its tree arcs.
 
 :func:`find_cycle_nodes_doubling` is the simpler pointer-doubling baseline
 (compute ``f^n`` by repeated squaring; its image is the set of cycle
@@ -27,7 +31,7 @@ import numpy as np
 
 from ..graphs.functional_graph import validate_function
 from ..pram.machine import Machine
-from ..primitives.euler_tour import EulerStructure, build_euler_structure, mark_cycle_arcs
+from ..primitives.euler_tour import functional_euler_structure
 from ..primitives.integer_sort import SortCostModel
 from ..primitives.pointer_jumping import kth_successor
 
@@ -49,13 +53,16 @@ class CycleDetectionResult:
         same cycle (the circuit id of the node's forward arc); ``-1`` for
         tree nodes.  Keys are *not* dense — use the cycle-labelling phase's
         enumeration for dense ids.
-    structure:
-        The Euler structure of the doubled graph (reusable downstream).
+    in_arc_order:
+        The nodes sorted by ``(f(y), y)`` (see
+        :func:`~repro.primitives.euler_tour.in_arc_order`), which tree
+        labeling builds its tree arcs from.  Every field holds ``n``
+        entries.
     """
 
     on_cycle: np.ndarray
     cycle_key: np.ndarray
-    structure: EulerStructure
+    in_arc_order: np.ndarray
 
 
 def find_cycle_nodes(
@@ -68,23 +75,25 @@ def find_cycle_nodes(
 
     Cost: one adapter-charged integer sort (adjacency build), one
     list-ranking-style circuit labelling, and O(1) linear-work rounds —
-    O(log n) time, O(n) work plus the sort.
+    O(log n) time, O(n) work plus the sort.  The build and the arc marking
+    charge what :func:`~repro.primitives.euler_tour.build_euler_structure`
+    and :func:`~repro.primitives.euler_tour.mark_cycle_arcs` charge.
     """
     m = _ensure_machine(machine)
     f = validate_function(function)
     n = len(f)
     with m.span("find_cycle_nodes"):
-        structure = build_euler_structure(
-            np.arange(n, dtype=np.int64), f, n, machine=m, cost_model=cost_model
+        order, _successor, circuit_id = functional_euler_structure(
+            f, machine=m, cost_model=cost_model
         )
-        cycle_arc = mark_cycle_arcs(structure, machine=m)
+        # forward arc x and its buddy n + x lie on different circuits iff
+        # x is a cycle node
+        with m.span("mark_cycle_arcs"):
+            m.tick(2 * n)
         m.tick(n, rounds=2)
-        on_cycle = np.zeros(n, dtype=bool)
-        # forward arc of node x has arc index x (edges were given as (x, f(x)))
-        forward_is_cycle = cycle_arc[:n]
-        on_cycle[structure.tail[:n][forward_is_cycle]] = True
-        cycle_key = np.where(on_cycle, structure.circuit_id[:n], -1)
-    return CycleDetectionResult(on_cycle=on_cycle, cycle_key=cycle_key, structure=structure)
+        on_cycle = circuit_id[:n] != circuit_id[n:]
+        cycle_key = np.where(on_cycle, circuit_id[:n], -1)
+    return CycleDetectionResult(on_cycle=on_cycle, cycle_key=cycle_key, in_arc_order=order)
 
 
 def find_cycle_nodes_doubling(

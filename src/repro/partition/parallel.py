@@ -74,7 +74,10 @@ def jaja_ryu_partition(
     the Q-labels are each charged as one linear-work step.  On the host
     both run :func:`canonical_labels`, which renumbers in O(n) when the
     labels' range is below ``4n``: always for the Q-labels, which lie
-    below ``n``, and for ``A_B`` unless its values are sparse.
+    below ``n``, and for ``A_B`` unless its values are sparse.  The two
+    Euler-tour builds (steps 1 and 3) each charge a pair sort of their
+    arcs, but the host sorts only once, the ``n`` values of ``f``: step 1
+    returns that in-arc order and step 3 filters it to the tree arcs.
     """
     check_msp_algorithm(msp_algorithm)
     instance = SFCPInstance.from_arrays(function, initial_labels)
@@ -110,6 +113,7 @@ def jaja_ryu_partition(
                 cycles,
                 machine=m,
                 cost_model=cost_model,
+                in_arc_order=detection.in_arc_order,
             )
 
         m.tick(n)

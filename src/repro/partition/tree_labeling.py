@@ -42,7 +42,7 @@ from ..pram.kernels import residual_forest_classes
 from ..pram.machine import Machine
 from ..pram.metrics import CostCounter, log_time_bound
 from ..pram.models import ArbitraryWinner
-from ..primitives.euler_tour import forest_structure, vertex_levels_from_tree
+from ..primitives.euler_tour import functional_forest_structure, vertex_levels_from_tree
 from ..primitives.integer_sort import SortCostModel, rank_values
 from ..types import as_int_array
 from .cycle_labeling import CycleLabelingResult
@@ -72,8 +72,17 @@ def label_tree_nodes(
     *,
     machine: Optional[Machine] = None,
     cost_model: SortCostModel = SortCostModel.CHARGED,
+    in_arc_order: Optional[np.ndarray] = None,
 ) -> TreeLabelingResult:
-    """Label the tree nodes given the labelled cycles (see module docstring)."""
+    """Label the tree nodes given the labelled cycles (see module docstring).
+
+    The Euler structure of the tree arcs (step 1 below) comes from
+    ``in_arc_order``, the order cycle detection returns
+    (:attr:`~repro.partition.cycle_detection.CycleDetectionResult.in_arc_order`),
+    without a sort of its own; when it is omitted the call sorts ``f``
+    itself.  Either way the charges are those of the generic
+    :func:`~repro.primitives.euler_tour.forest_structure`.
+    """
     m = _ensure_machine(machine)
     f = validate_function(function)
     labels_b = as_int_array(initial_labels, "initial_labels")
@@ -97,7 +106,9 @@ def label_tree_nodes(
         # the cycles — Euler tour technique, O(log n) time, O(n) work.
         # --------------------------------------------------------------
         parent = np.where(on_cyc, np.arange(n, dtype=np.int64), f)
-        structure, root_of = forest_structure(parent, on_cyc, machine=m, cost_model=cost_model)
+        structure, root_of = functional_forest_structure(
+            f, on_cyc, in_arc_order, machine=m, cost_model=cost_model
+        )
         level = vertex_levels_from_tree(parent, on_cyc, machine=m, structure=structure)
 
         # --------------------------------------------------------------

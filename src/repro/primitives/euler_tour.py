@@ -17,8 +17,19 @@ Two uses in the paper:
 * *Algorithm tree node labeling* (Section 4, Step 1): vertex levels in the
   rooted trees via the standard Euler-tour +1/-1 trick.
 
-Costs: building the adjacency structure uses one integer sort (charged via
-the adapter); the tours and rankings are ``O(log n)`` time, ``O(n)`` work.
+Costs: building the adjacency structure charges one pair sort of the
+``2m`` arcs by tail through the adapter; the tours and rankings are
+``O(log n)`` time, ``O(n)`` work.  :func:`build_euler_structure` and
+:func:`forest_structure` are the generic builders, for any graph, and the
+reference the two functional-graph builders are tested against.  For the
+edges ``x -> f(x)`` of a functional graph that sort's outcome is known
+once ``f``'s in-arcs are grouped by head (:func:`in_arc_order`, one stable
+sort of the ``n`` values of ``f``): a node's out-arcs are its own forward
+arc followed by the buddies of its in-arcs, by index.  So
+:func:`functional_euler_structure` (cycle detection) and
+:func:`functional_forest_structure` (tree levels, from the same order)
+write the successor in closed form and charge the generic build's figures
+without running its sort.
 """
 
 from __future__ import annotations
@@ -28,10 +39,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..pram.kernels import cycle_min_labels
+from ..pram.kernels import cycle_min_labels, sort_indices
 from ..pram.machine import Machine
 from ..types import as_int_array
-from .integer_sort import SortCostModel, sort_pairs
+from .integer_sort import SortCostModel, charge_pair_sort, sort_pairs
 from .list_ranking import optimal_rank
 from .prefix_sums import prefix_sums
 
@@ -87,6 +98,12 @@ def build_euler_structure(
     following ``(u, v)`` is the buddy-of-the-next arc in ``v``'s circular
     list of incident arcs — equivalently, ``successor[a] = next arc out of
     head[a] after buddy[a]`` in the sorted adjacency order.
+
+    The generic reference: it sorts the arcs by tail, so it serves any
+    graph.  The solver's functional graphs take
+    :func:`functional_euler_structure` and
+    :func:`functional_forest_structure`, which return its arrays and
+    charge its figures without the sort.
 
     Cost: one pair sort over ``2m`` items (adapter-charged) plus ``O(1)``
     linear-work rounds.
@@ -146,6 +163,93 @@ def build_euler_structure(
 
         circuit_id = _circuit_ids(successor, m)
     return EulerStructure(tail, head, buddy, successor, circuit_id)
+
+
+def in_arc_order(f: np.ndarray) -> np.ndarray:
+    """The nodes sorted by ``(f(y), y)``: every node's in-arcs, by index.
+
+    One stable radix sort of the ``n`` values of ``f``.  Host only: the
+    builders that take it charge the generic build's pair sort instead.
+    """
+    return sort_indices(f, len(f))
+
+
+def _doubled_successor(f: np.ndarray, order: np.ndarray, keep: Optional[np.ndarray]) -> np.ndarray:
+    """The successor of :func:`functional_euler_structure` (at least one
+    node kept), in closed form.
+
+    The forward arc of the ``i``-th kept node is ``i``, its buddy
+    ``c + i``, as :func:`build_euler_structure` numbers them.  Sorted by
+    tail, a node's out-arcs are its own forward arc (if kept), then the
+    buddies of its kept in-arcs by index: ``order`` filtered to kept
+    nodes.  So the forward arc of ``y`` goes to the buddy of ``y``'s next
+    sibling under ``f(y)``, or from the last sibling to ``f(y)``'s first
+    out-arc; the buddy arc of ``y`` goes to the buddy of ``y``'s first
+    in-arc, or to ``y``'s forward arc when ``y`` has none.
+    """
+    if keep is None:
+        nodes = arc_of = order
+    else:
+        rank = np.cumsum(keep) - 1
+        nodes = order[keep[order]]
+        arc_of = rank[nodes]
+    c = len(nodes)
+    heads = f[nodes]
+    last = np.empty(c, dtype=bool)
+    last[-1] = True
+    np.not_equal(heads[1:], heads[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    parent = heads[ends]
+    first_buddy = arc_of[starts] + c
+    successor = np.empty(2 * c, dtype=np.int64)
+    successor[c:] = np.arange(c, dtype=np.int64)
+    next_arc = np.empty(c, dtype=np.int64)
+    next_arc[:-1] = arc_of[1:] + c
+    if keep is None:
+        next_arc[ends] = parent
+        successor[c + parent] = first_buddy
+    else:
+        inner = keep[parent]
+        next_arc[ends] = np.where(inner, rank[parent], first_buddy)
+        successor[c + rank[parent[inner]]] = first_buddy[inner]
+    successor[arc_of] = next_arc
+    return successor
+
+
+def functional_euler_structure(
+    function,
+    order: Optional[np.ndarray] = None,
+    keep: Optional[np.ndarray] = None,
+    *,
+    machine: Optional[Machine] = None,
+    cost_model: SortCostModel = SortCostModel.CHARGED,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euler structure of the doubled edges ``x -> f(x)`` of the nodes in
+    ``keep`` (every node when ``None``), from ``f``'s in-arc order.
+
+    Returns ``(order, successor, circuit_id)``: the :func:`in_arc_order`
+    used (computed when ``order`` is ``None``), and the successor and
+    circuit ids :func:`build_euler_structure` gives for the kept nodes in
+    increasing order, array for array, with its charges under its span.
+    Tail, head and buddy stay implicit; with every node kept, arc ``x`` is
+    ``x -> f(x)`` and arc ``n + x`` its buddy.
+    """
+    m = _ensure_machine(machine)
+    f = as_int_array(function, "function")
+    n_arcs = 2 * (len(f) if keep is None else int(np.count_nonzero(keep)))
+    successor = circuit_id = np.zeros(0, dtype=np.int64)
+    with m.span("euler_structure"):
+        if order is None:
+            order = in_arc_order(f)
+        m.tick(n_arcs)
+        if n_arcs:
+            charge_pair_sort(m, n_arcs, max(len(f), n_arcs) + 1, cost_model)
+            # group bounds (two rounds), next_out and successor (one round each)
+            m.tick(3 * n_arcs, rounds=4)
+            successor = _doubled_successor(f, order, keep)
+            circuit_id = _circuit_ids(successor, m)
+    return order, successor, circuit_id
 
 
 def _circuit_ids(successor: np.ndarray, machine: Machine) -> np.ndarray:
@@ -317,20 +421,64 @@ def forest_structure(
     m = _ensure_machine(machine)
     par = as_int_array(parent, "parent")
     root_mask = np.asarray(roots, dtype=bool)
-    n = len(par)
     child = np.flatnonzero(~root_mask)
-    structure = build_euler_structure(child, par[child], n, machine=m, cost_model=cost_model)
-    root_of = np.arange(n, dtype=np.int64)
+    structure = build_euler_structure(child, par[child], len(par), machine=m, cost_model=cost_model)
+    return structure, _forest_roots(structure, root_mask, child, m)
+
+
+def functional_forest_structure(
+    function,
+    on_cycle,
+    order: Optional[np.ndarray] = None,
+    *,
+    machine: Optional[Machine] = None,
+    cost_model: SortCostModel = SortCostModel.CHARGED,
+) -> Tuple[EulerStructure, np.ndarray]:
+    """:func:`forest_structure` of the trees of a functional graph, rooted
+    at its cycle nodes, from ``f``'s :func:`in_arc_order`.
+
+    Returns what ``forest_structure(where(on_cycle, arange(n), f),
+    on_cycle)`` returns, array for array and charge for charge.  The tree
+    arcs are the doubled edges of the tree nodes, and a node's out-arcs
+    are its tree in-arcs in ``order`` (a cycle node's cycle predecessor
+    drops out with the cycle nodes), so no sort runs.  Without ``order``
+    the call sorts ``f`` itself.
+    """
+    m = _ensure_machine(machine)
+    f = as_int_array(function, "function")
+    root_mask = np.asarray(on_cycle, dtype=bool)
+    _order, successor, circuit_id = functional_euler_structure(
+        f, order, ~root_mask, machine=m, cost_model=cost_model
+    )
+    child = np.flatnonzero(~root_mask)
+    c = len(child)
+    head = f[child]
+    arcs = np.arange(c, dtype=np.int64)
+    structure = EulerStructure(
+        tail=np.concatenate([child, head]),
+        head=np.concatenate([head, child]),
+        buddy=np.concatenate([arcs + c, arcs]),
+        successor=successor,
+        circuit_id=circuit_id,
+    )
+    return structure, _forest_roots(structure, root_mask, child, m)
+
+
+def _forest_roots(
+    structure: EulerStructure, root_mask: np.ndarray, child: np.ndarray, machine: Machine
+) -> np.ndarray:
+    """Each node's root, through the circuit ids of a forest's structure."""
+    root_of = np.arange(len(root_mask), dtype=np.int64)
     if structure.num_arcs:
-        with m.span("forest_roots"):
-            m.tick(structure.num_arcs, rounds=2)
+        with machine.span("forest_roots"):
+            machine.tick(structure.num_arcs, rounds=2)
             # arcs whose tail is a root broadcast that root through their circuit id
             root_arcs = np.flatnonzero(root_mask[structure.tail])
             per_circuit_root = np.full(structure.num_arcs, -1, dtype=np.int64)
             per_circuit_root[structure.circuit_id[root_arcs]] = structure.tail[root_arcs]
             # every non-root node has an outgoing (child->parent) arc: arc index == node position in `child`
-            root_of[child] = per_circuit_root[structure.circuit_id[np.arange(len(child))]]
-    return structure, root_of
+            root_of[child] = per_circuit_root[structure.circuit_id[: len(child)]]
+    return root_of
 
 
 def tour_positions(

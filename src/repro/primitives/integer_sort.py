@@ -150,6 +150,20 @@ def pair_sort_charge(n: int, key_range: int, cost_model: SortCostModel) -> Tuple
     return tuple(passes * x for x in figures)  # type: ignore[return-value]
 
 
+def charge_pair_sort(
+    machine: Machine, n: int, key_range: int, cost_model: SortCostModel
+) -> None:
+    """Charge what :func:`sort_pairs` charges for ``n >= 1`` pairs whose
+    components lie below ``key_range <= PAIR_PACK_MAX_RANGE`` — one sort
+    of the packed key — without sorting anything.
+
+    For callers whose pair order is known in advance (the functional-graph
+    Euler builds) but that must charge the sort the paper prescribes;
+    :func:`pair_sort_charge` gives the same charge's figures instead.
+    """
+    _charge_integer_sort(machine, n, key_range * key_range, cost_model)
+
+
 def sort_pairs(
     first,
     second,
@@ -184,14 +198,15 @@ def sort_pairs(
         # first * rng + second, which stays within range rng^2 <= 2^63 - 1
         # (polynomial), exactly the situation the Bhatt et al. routine is
         # designed for — one sort and one gather instead of two of each.
-        if n > 1 and bool(np.all(b[1:] > b[:-1])):
-            # ``second`` strictly increases along the input, so ties in
-            # ``first`` already break in input order: the pair order is the
-            # stable sort of ``first`` alone.  The Euler-structure build
-            # (second = arange) hits this every time.  Host-only shortcut —
-            # the charge is the packed sort's, figure for figure.
+        if n > 1 and (bool((b == b[0]).all()) or bool(np.all(b[1:] > b[:-1]))):
+            # ``second`` is constant (every ``rank_values`` call) or strictly
+            # increases along the input (the generic Euler-structure build,
+            # second = arange), so ties in ``first`` already break in input
+            # order: the pair order is the stable sort of ``first`` alone.
+            # Host-only shortcut — the charge is the packed sort's, figure
+            # for figure.
             order = sort_indices(a, rng)
-            _charge_integer_sort(m, n, rng * rng, cost_model)
+            charge_pair_sort(m, n, rng, cost_model)
             return order
         combined = a * rng + b
         return sort_by_keys(

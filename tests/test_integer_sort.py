@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pram import Machine
-from repro.primitives import SortCostModel, rank_pairs, rank_values, sort_by_keys, sort_pairs
+from repro.primitives import SortCostModel, integer_sort, rank_pairs, rank_values, sort_by_keys, sort_pairs
 
 
 def test_sort_by_keys_sorts_and_is_stable(rng, machine):
@@ -43,6 +43,44 @@ def test_sort_pairs_large_range_avoids_overflow(machine):
     perm = sort_pairs(big, small, machine=machine)
     got = list(zip(big[perm].tolist(), small[perm].tolist()))
     assert got == sorted(zip(big.tolist(), small.tolist()))
+
+
+def _sorted_and_charged(sort, cost_model):
+    machine = Machine.default()
+    with machine.span("sort"):
+        perm = sort(machine, cost_model)
+    counter = machine.counter
+    spans = {path: (r.time, r.work, r.charged_work, r.ticks) for path, r in counter._spans.items()}
+    return perm, (counter.time, counter.work, counter.charged_work, spans)
+
+
+@pytest.mark.parametrize("cost_model", [SortCostModel.CHARGED, SortCostModel.INCURRED])
+@pytest.mark.parametrize("second", [0, 9], ids=["zero", "constant"])
+@pytest.mark.parametrize("n", [2, 1000, 5000])
+def test_sort_pairs_constant_second_key_sorts_first_alone(n, second, cost_model, monkeypatch):
+    # A constant second key (every rank_values call) sorts `first` alone
+    # and charges the packed pair sort, figure for figure.
+    first = np.random.default_rng(n).integers(0, max(2, n // 4), n)
+    constant = np.full(n, second, dtype=np.int64)
+    key_range = max(int(first.max()), second) + 1
+    ranges = []
+    real = integer_sort.sort_indices
+    monkeypatch.setattr(
+        integer_sort, "sort_indices", lambda keys, rng: ranges.append(rng) or real(keys, rng)
+    )
+    perm, charges = _sorted_and_charged(
+        lambda m, cm: sort_pairs(first, constant, machine=m, cost_model=cm), cost_model
+    )
+    assert ranges == [key_range]
+    packed, packed_charges = _sorted_and_charged(
+        lambda m, cm: sort_by_keys(
+            first * key_range + constant, machine=m, key_range=key_range**2, cost_model=cm
+        ),
+        cost_model,
+    )
+    assert perm.dtype == packed.dtype
+    assert np.array_equal(perm, packed)
+    assert charges == packed_charges
 
 
 def test_rank_pairs_dense_ranks(machine):
