@@ -48,9 +48,9 @@ front end that *accepts traffic*.  This package turns
   over the *spawn* slot source — each slot a supervised OS process,
   heartbeat-watched and restarted with exponential backoff;
 * :mod:`~repro.serving.policy` — the unified :class:`FailurePolicy`
-  (timeouts, :class:`BackoffPolicy` retry/reconnect schedules, a
-  :class:`CircuitBreaker` per peer, and :class:`GrayFailureDetector`
-  latency-EWMA gating) shared by every client and replica handle;
+  (timeouts, :class:`BackoffPolicy` retry/reconnect schedules and a
+  :class:`CircuitBreaker` per peer) shared by every client and replica
+  handle;
 * :mod:`~repro.serving.handles` (again) — :class:`RemoteReplicaHandle`:
   the cross-host sibling of :class:`ProcessReplicaHandle`, dialing
   ``host:port`` over the framed transport and reconnecting itself;
@@ -71,7 +71,7 @@ front end that *accepts traffic*.  This package turns
 * :mod:`~repro.serving.bench` — the two load drivers: ``run_load``, a
   verified closed burst against a fresh service or a running server, and
   ``run_open_loop``, an open-loop generator over a schedule of
-  ``(rps, seconds)`` phases behind the capacity sweep and the step load.
+  ``(rps, seconds)`` phases behind the capacity sweep.
 
 Quickstart
 ----------
@@ -97,7 +97,6 @@ over the wire, and ``repro-serve --loadgen`` measures a pool open loop.
 
 from .autoscale import (
     AutoscalingPolicy,
-    CapacityModel,
     PoolController,
     PoolSignals,
     ScaleDecision,
@@ -108,7 +107,7 @@ from .events import EventRecorder
 from .framing import FramedIngress, FramedServiceClient
 from .handles import ProcessReplicaHandle, RemoteReplicaHandle, ReplicaHandle
 from .metrics import LatencyWindow, MetricsRecorder, ServiceMetrics
-from .policy import BackoffPolicy, CircuitBreaker, FailurePolicy, GrayFailureDetector
+from .policy import BackoffPolicy, CircuitBreaker, FailurePolicy
 from .queue import IngressQueue
 from .remote import RemoteReplicaFleet, RemoteServiceBackend
 from .replicas import ReplicaSet
@@ -148,10 +147,8 @@ __all__ = [
     "FailurePolicy",
     "BackoffPolicy",
     "CircuitBreaker",
-    "GrayFailureDetector",
     "EventRecorder",
     "AutoscalingPolicy",
-    "CapacityModel",
     "PoolController",
     "PoolSignals",
     "ScaleDecision",

@@ -31,8 +31,7 @@ Six modes:
   copes (latency percentiles, shed fraction, nothing-lost check);
   ``--sweep`` runs the full capacity grid (replica counts × offered
   rates) and reports each pool size's knee — the measured capacity
-  model behind ``BENCH_SERVING.json``; ``--step`` runs the
-  predictive-vs-reactive step-load A/B.
+  model behind ``BENCH_SERVING.json``.
 * **Chaos proxy (``--chaos-proxy --upstream HOST:PORT``)** — a
   deterministic fault-injecting TCP proxy
   (:mod:`repro.serving.chaos`): seeded schedule of latency, resets,
@@ -145,14 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--scale-interval", type=float, default=0.25, metavar="SECONDS",
-        help="--replicas auto: pool-controller tick period (default 0.25)",
-    )
-    net.add_argument(
-        "--capacity-model", default=None, metavar="PATH",
-        help="--replicas auto: load the measured capacity model (the "
-             "capacity_model section of a BENCH_SERVING.json) and scale "
-             "feed-forward from the arrival rate, reconciled with the "
-             "reactive signals; omit for pure reactive scaling",
+        help="--replicas auto: pool-controller tick period, > 0 (default 0.25)",
     )
     net.add_argument(
         "--processes", action="store_true",
@@ -243,17 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-shed-fraction", type=float, default=0.05, metavar="F",
         help="--sweep: shed fraction above which a cell is past the knee "
              "(default 0.05)",
-    )
-    gen.add_argument(
-        "--step", action="store_true",
-        help="--loadgen: step-load A/B — offer --rate for half of "
-             "--duration, double it for the second half, and compare the "
-             "predictive (capacity-model) controller against the pure "
-             "reactive one (time to target pool, sheds in the transient)",
-    )
-    gen.add_argument(
-        "--step-factor", type=float, default=2.0, metavar="F",
-        help="--step: multiply the offered rate by F mid-run (default 2.0)",
     )
     gen.add_argument(
         "--bench-out", default=None, metavar="PATH",
@@ -398,35 +379,31 @@ def serve_http(args, say) -> int:
 
     controller = None
     if auto_scale:
-        from .autoscale import AutoscalingPolicy, CapacityModel, PoolController
+        from .autoscale import AutoscalingPolicy, PoolController
 
         max_replicas = args.max_replicas
         if remote_addresses:
             # A fleet cannot fork hosts: growth is bounded by the list.
             max_replicas = min(max_replicas, len(remote_addresses))
-        policy = AutoscalingPolicy(
-            min_replicas=max(1, args.min_replicas),
-            max_replicas=max(1, max_replicas),
-            slo_p99_ms=args.slo_p99_ms,
-        )
-        capacity_model = None
-        if args.capacity_model:
-            capacity_model = CapacityModel.load(args.capacity_model)
-            knees = ", ".join(
-                f"{r}->{knee:g}rps" for r, knee in capacity_model.knees
+        try:
+            policy = AutoscalingPolicy(
+                min_replicas=max(1, args.min_replicas),
+                max_replicas=max(1, max_replicas),
+                slo_p99_ms=args.slo_p99_ms,
             )
-            say(f"[repro.serving] capacity model from {args.capacity_model}: "
-                f"{knees} (feed-forward at headroom "
-                f"{policy.prediction_headroom:g})")
-        controller = PoolController(
-            backend, policy, capacity_model=capacity_model,
-            recorder=backend.recorder, interval=args.scale_interval,
-        ).start()
+            controller = PoolController(
+                backend, policy, recorder=backend.recorder,
+                interval=args.scale_interval,
+            )
+        except ValueError as exc:
+            backend.shutdown(drain=True)
+            print(f"[repro.serving] {exc}", file=sys.stderr)
+            return 2
+        controller.start()
         say(f"[repro.serving] pool controller: {policy.min_replicas}.."
             f"{policy.max_replicas} replicas, tick {args.scale_interval:g}s"
             + (f", SLO p99 {policy.slo_p99_ms:g}ms"
-               if policy.slo_p99_ms else "")
-            + (", predictive" if capacity_model is not None else ", reactive"))
+               if policy.slo_p99_ms else ""))
     # The fleet authenticates *outbound* to the remote hosts; the local
     # front stays open (HTTP + framed) for healthz/metrics/load-gen.  An
     # auth-requiring framed server is the --replica-worker mode.
@@ -570,8 +547,6 @@ def run_loadgen(args, say) -> int:
     """
     from .bench import run_capacity_sweep
 
-    if args.step:
-        return run_step(args, say)
     if args.sweep:
         replica_counts = [int(x) for x in args.sweep_replicas.split(",") if x.strip()]
         rates = [float(x) for x in args.sweep_rates.split(",") if x.strip()]
@@ -610,60 +585,6 @@ def run_loadgen(args, say) -> int:
     if lost:
         print(f"[repro.serving] FAILURE: {lost} admitted job(s) never "
               "settled (overload must shed, not lose)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def run_step(args, say) -> int:
-    """``--loadgen --step``: the predictive-vs-reactive step-load A/B.
-
-    Offers ``--rate`` for half of ``--duration``, steps to
-    ``--rate * --step-factor`` for the second half, once per controller
-    mode, and writes the comparison as the ``step_load`` section of
-    ``--bench-out`` (merged, like the capacity model).
-    """
-    from .autoscale import CapacityModel
-    from .bench import run_step_comparison
-
-    model_path = args.capacity_model
-    if model_path is None and args.bench_out and os.path.exists(args.bench_out):
-        model_path = args.bench_out
-    if model_path is None and os.path.exists("BENCH_SERVING.json"):
-        model_path = "BENCH_SERVING.json"
-    if model_path is None:
-        print("[repro.serving] --step needs a measured capacity model "
-              "(--capacity-model PATH, or a BENCH_SERVING.json with a "
-              "capacity_model section)", file=sys.stderr)
-        return 2
-    model = CapacityModel.load(model_path)
-    say(f"[repro.serving] step-load A/B: {args.rate:g} rps "
-        f"-> x{args.step_factor:g} mid-run, capacity model {model_path}")
-    document = run_step_comparison(
-        capacity_model=model,
-        base_rps=args.rate,
-        step_factor=args.step_factor,
-        duration=args.duration,
-        size=args.size,
-        seed=args.seed,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        min_replicas=max(1, args.min_replicas),
-        max_replicas=max(1, args.max_replicas),
-        progress=say,
-    )
-    rows = [
-        {k: v for k, v in row.items() if k != "pool_timeline"}
-        for row in document["rows"]
-    ]
-    say("")
-    say(render_table(rows, title="step-load A/B (reactive vs predictive)"))
-    lost = sum(int(row["lost"]) for row in document["rows"])
-    if args.bench_out:
-        _merge_json(args.bench_out, "step_load", document, say)
-    if lost:
-        print(f"[repro.serving] FAILURE: {lost} admitted job(s) never "
-              "settled during the step (overload must shed, not lose)",
-              file=sys.stderr)
         return 1
     return 0
 

@@ -22,9 +22,7 @@ phases no matter how the backend copes (a closed loop self-throttles and
 hides the knee), and reports per-phase admission, shedding and latency
 percentiles.  A cell of :func:`run_capacity_sweep` (the measured capacity
 model: per-cell p50/p95/p99, shed fraction, achieved throughput and each
-pool's *knee*) is a one-phase schedule against a fresh pool; a
-:func:`run_step_load` run is a two-phase schedule against a self-scaling
-:class:`~repro.serving.replicas.ReplicaSet`.
+pool's *knee*) is a one-phase schedule against a fresh pool.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import numpy as np
 from ..errors import ServiceError
 from ..graphs.generators import random_function, random_permutation, tree_heavy
 from ..partition import coarsest_partition, same_partition
-from .autoscale import AutoscalingPolicy, PoolController
 from .chaos import ChaosTcpProxy
 from .framing import FramedIngress, FramedServiceClient
 from .metrics import ServiceMetrics
@@ -379,15 +376,15 @@ def run_open_loop(
     ``backend`` (anything with ``submit_request(request, block=False)``
     and ``on_response``) and its lifecycle.
 
-    Returns ``started_at`` (the ``time.perf_counter()`` origin),
-    ``offered_wall_s``, ``wall_s`` (until the last admitted request
-    settled) and ``phases``, one dict per phase: ``rps``, ``seconds``,
-    ``start_s`` (scheduled offset); the counts ``offered``, ``admitted``,
-    ``rejected`` (at the door), ``completed``, ``failed`` (settled but
-    not done: shed after admission) and ``lost`` (admitted but never
-    settled; the overload contract is that it stays 0); ``p50_ms``,
-    ``p95_ms``, ``p99_ms`` over completed requests (``None`` if none);
-    and ``admitted_by_class`` / ``shed_by_class`` (rejected, by priority).
+    Returns ``offered_wall_s``, ``wall_s`` (until the last admitted
+    request settled) and ``phases``, one dict per phase: ``rps``,
+    ``seconds``, ``start_s`` (scheduled offset); the counts
+    ``offered``, ``admitted``, ``rejected`` (at the door),
+    ``completed``, ``failed`` (settled but not done: shed after
+    admission) and ``lost`` (admitted but never settled; the overload
+    contract is that it stays 0); ``p50_ms``, ``p95_ms``, ``p99_ms``
+    over completed requests (``None`` if none); and
+    ``admitted_by_class`` / ``shed_by_class`` (rejected, by priority).
     """
     counts = [max(1, int(round(rps * seconds))) for rps, seconds in schedule]
     # A small rotating pool of instances keeps generation cost out of the
@@ -463,8 +460,7 @@ def run_open_loop(
             for key in ("admitted_by_class", "shed_by_class"):
                 row[key] = {str(k): v for k, v in sorted(phase[key].items())}
             rows.append(row)
-    return {"started_at": start, "offered_wall_s": offered_wall, "wall_s": wall,
-            "phases": rows}
+    return {"offered_wall_s": offered_wall, "wall_s": wall, "phases": rows}
 
 
 def find_knee(
@@ -510,9 +506,9 @@ def run_capacity_sweep(
 
     Each cell offers one rate for ``duration`` to a fresh in-process pool
     (a :class:`SolveService` for one replica, a
-    :class:`~repro.serving.replicas.ReplicaSet` for more).  This is what
-    sizes the autoscaler honestly: the knee column says how much offered
-    load one more replica actually buys, and the overloaded cells prove
+    :class:`~repro.serving.replicas.ReplicaSet` for more).  The knee
+    column says how much offered load one more replica actually buys on
+    the host that ran the sweep, and the overloaded cells prove
     the admission layer sheds lowest-priority-first instead of
     collapsing.  Returns a JSON-able document with ``cells`` (one row per
     grid point) and ``pools`` (one summary per replica count, knee
@@ -583,191 +579,6 @@ def run_capacity_sweep(
         "replica_counts": [int(r) for r in replica_counts],
         "cells": cells,
         "pools": pools,
-    }
-
-
-def run_step_load(
-    *,
-    mode: str = "predictive",
-    capacity_model=None,
-    base_rps: float = 120.0,
-    step_factor: float = 2.0,
-    duration: float = 6.0,
-    size: int = 256,
-    seed: int = 0,
-    workers: int = 2,
-    queue_capacity: int = 48,
-    min_replicas: int = 1,
-    max_replicas: int = 4,
-    tick_interval: float = 0.05,
-    hysteresis_ticks: int = 3,
-    cooldown_seconds: float = 0.25,
-    algorithm: str = "jaja-ryu",
-    priority_mix: bool = True,
-    drain_timeout: float = 60.0,
-) -> Dict[str, object]:
-    """One step-load run: the two-phase schedule ``base_rps`` then
-    ``base_rps * step_factor``, half of ``duration`` each, against a
-    self-scaling :class:`~repro.serving.replicas.ReplicaSet`.
-
-    ``mode`` selects the controller under test: ``"predictive"`` wires
-    the measured :class:`~repro.serving.autoscale.CapacityModel` into
-    the :class:`~repro.serving.autoscale.PoolController` (feed-forward +
-    reactive), ``"reactive"`` runs the same policy with no model.  Both
-    modes report when the pool first reached the *model's* target for
-    the stepped rate (a sampler records every pool-size change), so the
-    A/B measures how much earlier feed-forward gets there, and how many
-    requests were shed during the transient.  The overload-survival
-    contract holds throughout: every admitted request settles (``lost``
-    must be 0).
-    """
-    if mode not in ("predictive", "reactive"):
-        raise ValueError(f"mode must be 'predictive' or 'reactive', got {mode!r}")
-    if capacity_model is None:
-        raise ValueError("run_step_load needs the measured capacity model "
-                         "(for the controller in predictive mode, and for "
-                         "the A/B's common target pool in both)")
-    step_rps = float(base_rps) * float(step_factor)
-    headroom = AutoscalingPolicy().prediction_headroom
-    target_pool = min(
-        max_replicas, max(min_replicas, capacity_model.pool_for_rate(step_rps, headroom))
-    )
-
-    backend = ReplicaSet(
-        min_replicas,
-        seed=seed,
-        workers=workers,
-        queue_capacity=queue_capacity,
-        default_algorithm=algorithm,
-    )
-    policy = AutoscalingPolicy(
-        min_replicas=min_replicas,
-        max_replicas=max_replicas,
-        hysteresis_ticks=hysteresis_ticks,
-        cooldown_seconds=cooldown_seconds,
-    )
-    controller = PoolController(
-        backend,
-        policy,
-        capacity_model=capacity_model if mode == "predictive" else None,
-        recorder=backend.recorder,
-        interval=tick_interval,
-    )
-
-    # Pool-size timeline: (perf_counter instant, active replicas) on every
-    # change, sampled off-thread so the arrival loop never blocks.
-    changes: List[Tuple[float, int]] = []
-    sampler_stop = threading.Event()
-
-    def _sample_pool() -> None:
-        last = None
-        while not sampler_stop.is_set():
-            active = int(backend.active_replicas)
-            if active != last:
-                changes.append((time.perf_counter(), active))
-                last = active
-            sampler_stop.wait(tick_interval / 2.0)
-
-    sampler = threading.Thread(target=_sample_pool, daemon=True)
-    try:
-        controller.start()
-        sampler.start()
-        result = run_open_loop(
-            backend,
-            [(float(base_rps), duration / 2.0), (step_rps, duration / 2.0)],
-            size=size, seed=seed, algorithm=algorithm,
-            priority_mix=priority_mix, drain_timeout=drain_timeout,
-        )
-    finally:
-        sampler_stop.set()
-        controller.stop()
-        backend.shutdown(drain=True)
-        sampler.join(timeout=5.0)
-
-    pre, post = result["phases"]
-    timeline = [[round(max(0.0, instant - result["started_at"]), 3), active]
-                for instant, active in changes]
-    time_to_target = next(
-        (round(max(0.0, instant - post["start_s"]), 3)
-         for instant, active in timeline if active >= target_pool), None)
-    ups = [e for e in backend.events() if e["event"] == "scale_up"]
-    return {
-        "mode": mode,
-        "base_rps": round(float(base_rps), 1),
-        "step_rps": round(step_rps, 1),
-        "duration_s": round(float(duration), 2),
-        "requests": pre["offered"] + post["offered"],
-        "target_pool": target_pool,
-        "time_to_target_s": time_to_target,
-        "sheds_pre": pre["rejected"],
-        "sheds_post": post["rejected"] + pre["failed"] + post["failed"],
-        "admitted": pre["admitted"] + post["admitted"],
-        "lost": pre["lost"] + post["lost"],
-        "final_pool": timeline[-1][1] if timeline else min_replicas,
-        "scale_ups": len(ups),
-        "p99_pre_ms": pre["p99_ms"],
-        "p99_post_ms": post["p99_ms"],
-        "offered_wall_s": round(result["offered_wall_s"], 3),
-        "wall_s": round(result["wall_s"], 3),
-        "pool_timeline": timeline,
-    }
-
-
-def run_step_comparison(
-    *,
-    capacity_model,
-    base_rps: float = 120.0,
-    step_factor: float = 2.0,
-    duration: float = 6.0,
-    size: int = 256,
-    seed: int = 0,
-    workers: int = 2,
-    queue_capacity: int = 48,
-    min_replicas: int = 1,
-    max_replicas: int = 4,
-    progress=None,
-) -> Dict[str, object]:
-    """The predictive-vs-reactive A/B under one step-load profile.
-
-    Runs :func:`run_step_load` once per controller mode (reactive first,
-    so the predictive run cannot benefit from a warmer host) and returns
-    a JSON-able document for the ``step_load`` section of
-    ``BENCH_SERVING.json``.
-    """
-    say = progress if progress is not None else (lambda *_: None)
-    rows = []
-    for mode in ("reactive", "predictive"):
-        say(f"[step] mode={mode} base={base_rps:g} rps x{step_factor:g} ...")
-        row = run_step_load(
-            mode=mode,
-            capacity_model=capacity_model,
-            base_rps=base_rps,
-            step_factor=step_factor,
-            duration=duration,
-            size=size,
-            seed=seed,
-            workers=workers,
-            queue_capacity=queue_capacity,
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-        )
-        say(
-            f"[step] mode={mode}: reached pool {row['final_pool']} "
-            f"(target {row['target_pool']}) in {row['time_to_target_s']!r}s, "
-            f"sheds_post={row['sheds_post']}, lost={row['lost']}"
-        )
-        rows.append(row)
-    return {
-        "base_rps": round(float(base_rps), 1),
-        "step_factor": float(step_factor),
-        "duration_s": round(float(duration), 2),
-        "size": size,
-        "workers_per_replica": workers,
-        "queue_capacity": queue_capacity,
-        "min_replicas": min_replicas,
-        "max_replicas": max_replicas,
-        "capacity_model_source": getattr(capacity_model, "source", None),
-        "rows": rows,
     }
 
 

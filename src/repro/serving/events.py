@@ -14,18 +14,12 @@ An event is a flat JSON-able dict::
 Known kinds (the union across slot sources): ``spawn``, ``connect``,
 ``death``, ``rehome``, ``rehome_failed``, ``orphans_parked``,
 ``restart_scheduled``, ``restarted``, ``reconnected``,
-``heartbeat_stall``, ``breaker_open``, ``breaker_closed``,
-``gray_degraded``, ``gray_recovered``, ``gave_up``, ``child_exit``,
-``shutdown``; plus the autoscaling kinds emitted by
+``heartbeat_stall``, ``breaker_open``, ``breaker_closed``, ``gave_up``,
+``child_exit``, ``shutdown``; plus the autoscaling kinds emitted by
 :class:`~repro.serving.autoscale.PoolController`: ``scale_up``,
 ``scale_down``, ``scale_blocked`` (a sustained breach the controller
 declined to act on — cooldown or min/max bound — so capacity incidents
-are reconstructable from the log alone).  When a capacity model drives
-the controller, every scale event additionally carries ``prediction``
-(the feed-forward pool target from the measured knees), ``reconciled``
-(the target after reconciling prediction with the reactive signals),
-and an ``arrival_rps`` signal (the admitted-arrival-rate EWMA the
-prediction was computed from).
+are reconstructable from the log alone).
 """
 
 from __future__ import annotations

@@ -26,10 +26,8 @@ go to the set, which alone re-homes, parks or settles them.
 
 Both wire handles consume a :class:`~repro.serving.policy.FailurePolicy`:
 a per-replica circuit breaker (consecutive transport failures open it;
-a half-open probe closes it) and an optional latency-EWMA gray-failure
-detector both gate ``accepting``, so placement skips replicas that are
-broken *or merely degraded* — the same path that hides a stale-heartbeat
-replica.
+a half-open probe closes it) gates ``accepting``, so placement skips a
+broken replica — the same path that hides a stale-heartbeat replica.
 
 Because request ids come from one process-wide counter on the *parent*
 side, a ``ProcessReplicaHandle`` keeps the parent's id as the identity of
@@ -121,9 +119,6 @@ def liveness_row(handle: Any) -> Dict[str, Any]:
     breaker = getattr(handle, "breaker_state", None)
     if breaker is not None:
         row["breaker"] = str(breaker)
-    ewma = getattr(handle, "latency_ewma", None)
-    if ewma is not None:
-        row["latency_ewma_seconds"] = round(float(ewma), 4)
     address = getattr(handle, "address", None)
     if address is not None:
         row["address"] = str(address)
@@ -197,7 +192,6 @@ class ProcessReplicaHandle:
         self._lock = threading.Lock()
         self._futures: Dict[int, "Future[SolveResponse]"] = {}
         self._pending: Dict[int, SolveRequest] = {}
-        self._submitted_at: Dict[int, float] = {}
         self._dead = True  # until the first dial lands
         self._closing = False
         self._heartbeat: Optional[Dict[str, Any]] = None
@@ -209,7 +203,6 @@ class ProcessReplicaHandle:
         self._breaker = self.policy.make_breaker(
             rng=self._rng, on_transition=self._breaker_transition
         )
-        self._gray = self.policy.make_gray_detector(on_change=self._gray_change)
         self._dial()
 
     # ------------------------------------------------------------------
@@ -325,7 +318,6 @@ class ProcessReplicaHandle:
             else:
                 self._futures[request_id] = future
         client = self._client
-        submitted_at = time.monotonic()
         try:
             client.submit_push(wire.encode_request(request), _deliver)
         except (ConnectionError, OSError) as exc:
@@ -344,13 +336,9 @@ class ProcessReplicaHandle:
             self._forget(request_id, keep)
             raise
         dead_in_flight = False
-        early_settled = False
         with self._lock:
             if future.done():
-                # Pushed before the commit: already settled, nothing
-                # pending — but ``_settle`` found no timestamp, so the
-                # latency sample is fed below instead.
-                early_settled = True
+                pass  # pushed before the commit: already settled, nothing pending
             elif self._dead:
                 # The connection died during the round trip.  _abandon ran
                 # while this submit was uncommitted, so nobody re-homes it:
@@ -360,9 +348,6 @@ class ProcessReplicaHandle:
                 dead_in_flight = True
             else:
                 self._pending[request_id] = request
-                self._submitted_at[request_id] = submitted_at
-        if early_settled:
-            self._gray.observe(time.monotonic() - submitted_at)
         if dead_in_flight:
             self._breaker.record_failure()
             raise ServiceShutdownError(
@@ -376,7 +361,6 @@ class ProcessReplicaHandle:
             if not keep_future:
                 self._futures.pop(request_id, None)
             self._pending.pop(request_id, None)
-            self._submitted_at.pop(request_id, None)
 
     def result(self, request_id: int, timeout: Optional[float] = None) -> SolveResponse:
         with self._lock:
@@ -404,13 +388,10 @@ class ProcessReplicaHandle:
     def _settle(self, request_id: int, response: SolveResponse) -> None:
         with self._lock:
             self._pending.pop(request_id, None)
-            submitted = self._submitted_at.pop(request_id, None)
             future = self._futures.get(request_id)
         # A delivered response — whatever its JobStatus — means the
-        # replica's transport works: feed the breaker and the EWMA.
+        # replica's transport works: feed the breaker.
         self._breaker.record_success()
-        if submitted is not None:
-            self._gray.observe(time.monotonic() - submitted)
         if future is not None and not future.done():
             future.set_result(response)
 
@@ -434,9 +415,6 @@ class ProcessReplicaHandle:
         elif new == BREAKER_CLOSED and old != BREAKER_CLOSED:
             self._emit_health("breaker_closed")
 
-    def _gray_change(self, gated: bool) -> None:
-        self._emit_health("gray_degraded" if gated else "gray_recovered")
-
     def _emit_health(self, kind: str) -> None:
         callback = self._on_health_event
         if callback is not None:
@@ -448,10 +426,6 @@ class ProcessReplicaHandle:
     @property
     def breaker_state(self) -> str:
         return self._breaker.state
-
-    @property
-    def latency_ewma(self) -> Optional[float]:
-        return self._gray.ewma
 
     @property
     def live(self) -> bool:
@@ -474,8 +448,6 @@ class ProcessReplicaHandle:
             beat, at = self._heartbeat, self._heartbeat_at
         if not self._breaker.would_allow():
             return False  # breaker open: hide from placement until the probe window
-        if self._gray.should_gate():
-            return False  # degraded-but-alive: health-gated like a stale beat
         if beat is None:
             # Between connect and the first beat the child is presumed
             # willing — it just bound its port and asked for traffic.
@@ -526,7 +498,6 @@ class ProcessReplicaHandle:
                 if request_id in self._futures
             ]
             self._pending.clear()
-            self._submitted_at.clear()
         self._breaker.record_failure()  # a lost connection is a transport fault
         if notify and self._on_death is not None:
             self._on_death(self, orphans)
@@ -585,7 +556,6 @@ class ProcessReplicaHandle:
                 if request_id in self._futures
             ]
             self._pending.clear()
-            self._submitted_at.clear()
         if self._client is not None:
             self._client.close()
         for request, future in leftovers:

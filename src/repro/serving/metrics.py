@@ -259,18 +259,6 @@ class ServiceMetrics:
             if isinstance(target, (int, float)):
                 lines.append(f"# TYPE {prefix}_last_scale_target gauge")
                 lines.append(f"{prefix}_last_scale_target{tag} {float(target):g}")
-            # Feed-forward observability: the capacity-model prediction and
-            # the arrival-rate EWMA it was computed from, refreshed by the
-            # controller's decision mirror every predictive tick.
-            prediction = self.last_scale.get("prediction")
-            if isinstance(prediction, (int, float)) and not isinstance(prediction, bool):
-                lines.append(f"# TYPE {prefix}_predicted_pool gauge")
-                lines.append(f"{prefix}_predicted_pool{tag} {float(prediction):g}")
-            signals = self.last_scale.get("signals")
-            arrival = signals.get("arrival_rps") if isinstance(signals, dict) else None
-            if isinstance(arrival, (int, float)) and not isinstance(arrival, bool):
-                lines.append(f"# TYPE {prefix}_arrival_rate gauge")
-                lines.append(f"{prefix}_arrival_rate{tag} {float(arrival):g}")
         if self.replicas:
             lines.append(f"# TYPE {prefix}_replica_live gauge")
             lines.append(f"# TYPE {prefix}_replica_restarts_total counter")

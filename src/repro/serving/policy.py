@@ -26,20 +26,10 @@ primitives in this module instead of growing its own ad-hoc math:
     longer window.  The clock and RNG are injectable so the state machine
     is testable without sleeping.
 
-``GrayFailureDetector``
-    Latency-EWMA gate for replicas that are slow but not dead.  Once the
-    EWMA exceeds ``latency_threshold`` (after ``min_samples``
-    observations) the replica is gated out of placement.  Because a gated
-    replica receives no traffic its EWMA can never decay, so the gate
-    expires after ``cooloff`` seconds: the detector resets and the
-    replica must mis-behave for ``min_samples`` fresh observations to be
-    gated again.  This bounds both the damage of a gray replica and the
-    cost of probing it.
-
 ``FailurePolicy``
     The container consumed by ``RemoteReplicaHandle``,
     ``ProcessReplicaHandle``, and ``ServiceClientBase``: per-request
-    timeout, retry/reconnect backoff, breaker knobs, gray-failure knobs.
+    timeout, retry/reconnect backoff, breaker knobs.
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ from typing import Callable, Optional
 __all__ = [
     "BackoffPolicy",
     "CircuitBreaker",
-    "GrayFailureDetector",
     "FailurePolicy",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
@@ -261,110 +250,14 @@ class CircuitBreaker:
                 pass
 
 
-class GrayFailureDetector:
-    """Latency-EWMA health gate with a cooloff-based reset.
-
-    ``observe(latency)`` feeds a response latency; ``should_gate()`` says
-    whether the replica should be hidden from placement right now.  A
-    gated replica gets no traffic, so instead of waiting for an EWMA that
-    can never decay, the gate *expires*: after ``cooloff`` seconds the
-    detector resets (EWMA and sample count cleared) and the replica is
-    re-admitted — if it is still slow it re-trips after ``min_samples``
-    fresh observations.
-    """
-
-    def __init__(
-        self,
-        *,
-        latency_threshold: Optional[float] = None,
-        alpha: float = 0.2,
-        min_samples: int = 5,
-        cooloff: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
-        on_change: Optional[Callable[[bool], None]] = None,
-    ) -> None:
-        if latency_threshold is not None and latency_threshold <= 0:
-            raise ValueError(
-                f"latency_threshold must be > 0, got {latency_threshold!r}"
-            )
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples!r}")
-        if cooloff <= 0:
-            raise ValueError(f"cooloff must be > 0, got {cooloff!r}")
-        self._lock = threading.Lock()
-        self._clock = clock
-        self._on_change = on_change
-        self.latency_threshold = latency_threshold
-        self.alpha = alpha
-        self.min_samples = min_samples
-        self.cooloff = cooloff
-        self._ewma: Optional[float] = None
-        self._samples = 0
-        self._gated_since: Optional[float] = None
-
-    @property
-    def ewma(self) -> Optional[float]:
-        with self._lock:
-            return self._ewma
-
-    def observe(self, latency: float) -> None:
-        if self.latency_threshold is None:
-            return
-        changed = False
-        with self._lock:
-            if self._ewma is None:
-                self._ewma = float(latency)
-            else:
-                self._ewma += self.alpha * (float(latency) - self._ewma)
-            self._samples += 1
-            if (
-                self._gated_since is None
-                and self._samples >= self.min_samples
-                and self._ewma > self.latency_threshold
-            ):
-                self._gated_since = self._clock()
-                changed = True
-        if changed:
-            self._notify(True)
-
-    def should_gate(self) -> bool:
-        if self.latency_threshold is None:
-            return False
-        changed = False
-        with self._lock:
-            if self._gated_since is None:
-                return False
-            if self._clock() - self._gated_since >= self.cooloff:
-                # Gate expired: forget history and re-admit the replica.
-                self._gated_since = None
-                self._ewma = None
-                self._samples = 0
-                changed = True
-                gated = False
-            else:
-                gated = True
-        if changed:
-            self._notify(False)
-        return gated
-
-    def _notify(self, gated: bool) -> None:
-        if self._on_change is not None:
-            try:
-                self._on_change(gated)
-            except Exception:  # noqa: BLE001 - observer must not break the detector
-                pass
-
-
 @dataclass(frozen=True)
 class FailurePolicy:
     """The knobs shared by every failure-aware serving component.
 
     Defaults are deliberately conservative: the breaker only opens on
     *consecutive* transport-level failures (which for a healthy replica
-    only happen when it is actually down), and gray-failure latency
-    gating is off unless ``gray_latency_threshold`` is set.
+    only happen when it is actually down), so a replica that is slow but
+    answering stays in placement.
     """
 
     request_timeout: float = 120.0
@@ -380,11 +273,6 @@ class FailurePolicy:
     breaker_reset_timeout: float = 1.0
     breaker_reset_cap: float = 30.0
     breaker_jitter: float = 0.0
-    # Gray-failure detection (off by default).
-    gray_latency_threshold: Optional[float] = None
-    gray_alpha: float = 0.2
-    gray_min_samples: int = 5
-    gray_cooloff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.request_timeout <= 0:
@@ -412,19 +300,4 @@ class FailurePolicy:
             clock=clock,
             rng=rng,
             on_transition=on_transition,
-        )
-
-    def make_gray_detector(
-        self,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        on_change: Optional[Callable[[bool], None]] = None,
-    ) -> GrayFailureDetector:
-        return GrayFailureDetector(
-            latency_threshold=self.gray_latency_threshold,
-            alpha=self.gray_alpha,
-            min_samples=self.gray_min_samples,
-            cooloff=self.gray_cooloff,
-            clock=clock,
-            on_change=on_change,
         )

@@ -21,8 +21,8 @@ what a remote host changes is confined to the handle and this source:
   scale-up reactivates it without a re-dial.
 
 The source's own events are ``connect``, ``reconnected``, ``gave_up`` and
-the handle's breaker/gray transitions, each carrying the host's
-``address``; see :mod:`repro.serving.events` for the whole schema.
+the handle's breaker transitions, each carrying the host's ``address``;
+see :mod:`repro.serving.events` for the whole schema.
 
 :class:`RemoteServiceBackend` is the single-host degenerate case: one
 remote handle adapted to the *single-service* backend surface so an
@@ -50,9 +50,9 @@ __all__ = ["DialSource", "RemoteReplicaFleet", "RemoteServiceBackend"]
 class DialSource:
     """Slot source dialing one configured address per slot.
 
-    ``policy`` governs timeouts, reconnect backoff, circuit breaking and
-    gray-failure detection for every handle.  The address list is fixed,
-    so scaled-down slots stay as warm spares (``keeps_spares``).
+    ``policy`` governs timeouts, reconnect backoff and circuit breaking
+    for every handle.  The address list is fixed, so scaled-down slots
+    stay as warm spares (``keeps_spares``).
     """
 
     keeps_spares = True

@@ -668,29 +668,6 @@ class ReplicaSet:
             if r.final_metrics is None
         )
 
-    @property
-    def submitted_total(self) -> int:
-        """Cumulative admitted requests across the pool's whole history —
-        retired replicas contribute their frozen final counters, so the
-        count is monotone across scale-downs (the autoscaler's arrival
-        EWMA differentiates it and must never see it go backwards)."""
-        total = 0
-        for replica in list(self._replicas):
-            with self._lock:
-                final = replica.final_metrics
-            if final is not None:
-                total += int(final.submitted)
-                continue
-            counter = getattr(replica.service, "submitted_total", None)
-            if isinstance(counter, (int, float)) and not isinstance(counter, bool):
-                total += int(counter)
-                continue
-            try:
-                total += int(replica.service.metrics().submitted)
-            except Exception:  # noqa: BLE001 — dead process counts zero
-                pass
-        return total
-
     def estimated_drain_seconds(self) -> Optional[float]:
         """Worst per-replica backlog drain estimate (Retry-After hints).
 

@@ -240,13 +240,6 @@ class SolveService:
         """Requests sitting in the ingress queue (not yet claimed)."""
         return len(self._queue)
 
-    @property
-    def submitted_total(self) -> int:
-        """Cumulative admitted requests — the cheap arrival counter the
-        autoscaler's feed-forward path samples each tick (a full
-        :meth:`metrics` scrape would recompute every percentile)."""
-        return int(self._metrics.submitted)
-
     def estimated_drain_seconds(self) -> Optional[float]:
         """Estimated seconds for the current ingress backlog to drain at
         the observed claim rate (``None`` with no history; transports use

@@ -1,12 +1,11 @@
 """Fake-clock tests for the unified failure policy primitives.
 
-Everything here runs without sleeping: the breaker and the gray-failure
-detector take an injectable clock, and :class:`BackoffPolicy` is pure
-given an RNG.  These are the semantics every failure-aware serving
-component (clients, process handles, remote handles) builds on, so the
-state machines are pinned exactly — including the probe pacing rules that
-distinguish the consuming ``allows()`` from the non-consuming
-``would_allow()``.
+Everything here runs without sleeping: the breaker takes an injectable
+clock, and :class:`BackoffPolicy` is pure given an RNG.  These are the
+semantics every failure-aware serving component (clients, process
+handles, remote handles) builds on, so the state machines are pinned
+exactly — including the probe pacing rules that distinguish the
+consuming ``allows()`` from the non-consuming ``would_allow()``.
 """
 
 import random
@@ -20,7 +19,6 @@ from repro.serving.policy import (
     BackoffPolicy,
     CircuitBreaker,
     FailurePolicy,
-    GrayFailureDetector,
 )
 
 
@@ -191,61 +189,6 @@ def test_breaker_rejects_invalid_parameters():
 
 
 # ----------------------------------------------------------------------
-# GrayFailureDetector
-# ----------------------------------------------------------------------
-def test_gray_detector_trips_after_min_samples_and_expires_after_cooloff():
-    clock = FakeClock()
-    changes = []
-    detector = GrayFailureDetector(
-        latency_threshold=0.1, alpha=0.5, min_samples=3, cooloff=2.0,
-        clock=clock, on_change=changes.append,
-    )
-    detector.observe(1.0)
-    detector.observe(1.0)
-    assert not detector.should_gate()  # EWMA high but only 2 samples
-    detector.observe(1.0)
-    assert detector.should_gate()
-    assert changes == [True]
-    clock.advance(1.9)
-    assert detector.should_gate()  # still inside the cooloff window
-    clock.advance(0.2)
-    assert not detector.should_gate()  # gate expired -> full reset
-    assert changes == [True, False]
-    assert detector.ewma is None
-    # it must misbehave for min_samples *fresh* observations to re-trip
-    detector.observe(1.0)
-    detector.observe(1.0)
-    assert not detector.should_gate()
-    detector.observe(1.0)
-    assert detector.should_gate()
-
-
-def test_gray_detector_fast_replica_never_gates():
-    detector = GrayFailureDetector(latency_threshold=0.5, min_samples=2)
-    for _ in range(100):
-        detector.observe(0.01)
-    assert not detector.should_gate()
-
-
-def test_gray_detector_disabled_without_threshold():
-    detector = GrayFailureDetector(latency_threshold=None)
-    detector.observe(1e9)
-    assert not detector.should_gate()
-    assert detector.ewma is None  # observations are not even recorded
-
-
-def test_gray_detector_rejects_invalid_parameters():
-    with pytest.raises(ValueError):
-        GrayFailureDetector(latency_threshold=0.0)
-    with pytest.raises(ValueError):
-        GrayFailureDetector(alpha=0.0)
-    with pytest.raises(ValueError):
-        GrayFailureDetector(min_samples=0)
-    with pytest.raises(ValueError):
-        GrayFailureDetector(cooloff=0.0)
-
-
-# ----------------------------------------------------------------------
 # FailurePolicy container
 # ----------------------------------------------------------------------
 def test_policy_factories_carry_the_knobs():
@@ -254,8 +197,6 @@ def test_policy_factories_carry_the_knobs():
         request_timeout=7.5,
         breaker_failure_threshold=2,
         breaker_reset_timeout=3.0,
-        gray_latency_threshold=0.25,
-        gray_min_samples=2,
     )
     breaker = policy.make_breaker(clock=clock)
     breaker.record_failure()
@@ -267,19 +208,12 @@ def test_policy_factories_carry_the_knobs():
     clock.advance(0.2)
     assert breaker.allows()
 
-    detector = policy.make_gray_detector(clock=clock)
-    detector.observe(1.0)
-    detector.observe(1.0)
-    assert detector.should_gate()
-
 
 def test_policy_validation():
     with pytest.raises(ValueError):
         FailurePolicy(request_timeout=0.0)
     with pytest.raises(ValueError):
         FailurePolicy(max_reconnect_attempts=0)
-    # knob errors surface at factory time for the sub-machines
+    # knob errors surface at factory time for the breaker
     with pytest.raises(ValueError):
         FailurePolicy(breaker_failure_threshold=0).make_breaker()
-    with pytest.raises(ValueError):
-        FailurePolicy(gray_alpha=2.0).make_gray_detector()

@@ -16,6 +16,7 @@ ReplicaSet scale seam's zero-loss drain guarantee.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from repro.serving import (
     HttpServiceClient,
     JobStatus,
     PoolController,
+    PoolSignals,
     ReplicaSet,
     SolveRequest,
     SolveService,
 )
+from repro.serving.__main__ import main as serving_main
 from repro.serving.queue import IngressQueue
 from repro.serving.transport import (
     RETRY_AFTER_MAX_SECONDS,
@@ -62,9 +65,12 @@ class ScriptedPool:
         self.ups = 0
         self.downs = 0
         self.noted = []
+        self.refuse_up = False
         self.refuse_down = False
 
     def scale_up(self):
+        if self.refuse_up:
+            return None
         self.ups += 1
         self.active_replicas += 1
         return self.active_replicas - 1
@@ -183,6 +189,7 @@ def test_idle_at_min_rests_quietly():
         assert decision.direction == "hold"
     assert pool.downs == 0
     assert recorder.events() == []  # an idle floor is not an incident
+    assert pool.noted == []  # and holds are not mirrored into /metrics
 
 
 def test_scale_down_requires_every_idle_signal():
@@ -218,6 +225,22 @@ def test_pool_refusing_shrink_reports_blocked():
     assert pool.downs == 0
 
 
+def test_pool_refusing_growth_reports_blocked():
+    clock = FakeClock()
+    pool = ScriptedPool(active=1, queue_depth=100)
+    pool.refuse_up = True  # e.g. a remote fleet with no spare host
+    controller, recorder = make_controller(pool, clock)
+
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "blocked"
+    assert "refused growth" in decision.reason
+    assert pool.ups == 0 and pool.active_replicas == 1
+    blocked = [e for e in recorder.events() if e["event"] == "scale_blocked"]
+    assert len(blocked) == 1
+
+
 def test_decisions_mirror_into_pool_metrics():
     clock = FakeClock()
     pool = ScriptedPool(active=1, queue_depth=100)
@@ -237,6 +260,238 @@ def test_policy_validates_bounds():
         AutoscalingPolicy(min_replicas=3, max_replicas=2)
     with pytest.raises(ValueError):
         AutoscalingPolicy(hysteresis_ticks=0)
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+def test_controller_rejects_a_non_positive_tick_interval(interval, capsys):
+    with pytest.raises(ValueError, match="interval"):
+        PoolController(ScriptedPool(), interval=interval)
+    # the CLI refuses before it serves, instead of spinning a core
+    assert serving_main(["--http", "--port", "0", "--replicas", "auto",
+                         "--scale-interval", str(interval), "--quiet"]) == 2
+    assert "interval" in capsys.readouterr().err
+
+
+class MeasuredPool(ScriptedPool):
+    """A scripted pool that also serves the rolling p99 the SLO signal reads."""
+
+    def __init__(self, p99_ms=None, **kwargs):
+        super().__init__(**kwargs)
+        self.p99_ms = p99_ms
+        self.samples = 0
+
+    def metrics(self):
+        self.samples += 1
+        if self.p99_ms is None:
+            raise RuntimeError("no latency sample yet")
+        return SimpleNamespace(latency_p99_ms=self.p99_ms)
+
+
+def test_inflight_pressure_alone_scales_up():
+    clock = FakeClock()
+    pool = ScriptedPool(active=2, queue_depth=0, inflight=16)  # 8/replica
+    controller, recorder = make_controller(pool, clock)
+
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "up"
+    assert decision.reason.startswith("inflight 16 is 8.0/replica")
+    assert pool.ups == 1
+    assert [e["event"] for e in recorder.events()] == ["scale_up"]
+
+
+def test_p99_over_the_slo_scales_up():
+    clock = FakeClock()
+    pool = MeasuredPool(p99_ms=900.0, active=1)
+    controller, _ = make_controller(pool, clock, slo_p99_ms=500.0)
+
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "up"
+    assert decision.reason == "p99 900.0ms exceeds SLO 500ms"
+    assert decision.signals.p99_ms == 900.0
+    assert pool.samples == 3  # one latency sample per tick
+
+
+def test_p99_near_the_slo_keeps_the_pool_from_shrinking():
+    clock = FakeClock()
+    # queue and workers idle, but p99 is above half the SLO: keep headroom
+    pool = MeasuredPool(p99_ms=300.0, active=3)
+    controller, _ = make_controller(pool, clock, slo_p99_ms=500.0)
+    for _ in range(6):
+        assert controller.tick().direction == "hold"
+        clock.advance(1.0)
+    assert pool.downs == 0
+
+    pool.p99_ms = 200.0  # comfortably inside the SLO
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "down"
+    assert pool.downs == 1
+
+
+def test_a_missing_p99_sample_is_a_hold_not_a_crash():
+    clock = FakeClock()
+    pool = MeasuredPool(p99_ms=None, active=1, queue_depth=0)
+    controller, recorder = make_controller(pool, clock, slo_p99_ms=500.0)
+    for _ in range(5):
+        decision = controller.tick()
+        clock.advance(1.0)
+        assert decision.direction == "hold"
+        assert decision.signals.p99_ms is None
+    assert pool.samples == 5 and recorder.events() == []
+
+    # the other signals still work while latency is unsampled
+    pool.queue_depth = 40
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "up"
+
+
+def test_p99_is_not_sampled_without_an_slo():
+    clock = FakeClock()
+    pool = MeasuredPool(p99_ms=10_000.0, active=1)
+    controller, _ = make_controller(pool, clock)  # slo_p99_ms=None
+    for _ in range(5):
+        decision = controller.tick()
+        clock.advance(1.0)
+        assert decision.direction == "hold"
+        assert decision.signals.p99_ms is None
+    assert pool.samples == 0
+
+
+def test_cooldown_blocks_back_to_back_scale_downs():
+    clock = FakeClock()
+    pool = ScriptedPool(active=4, queue_depth=0, inflight=0)
+    controller, recorder = make_controller(pool, clock)
+
+    for _ in range(3):
+        controller.tick()
+        clock.advance(0.5)
+    assert pool.downs == 1
+
+    # still idle inside the 5s cooldown: blocked, never a second shrink
+    for _ in range(6):
+        decision = controller.tick()
+        clock.advance(0.5)
+        assert decision.direction in ("hold", "blocked")
+    assert pool.downs == 1
+    blocked = [e for e in recorder.events() if e["event"] == "scale_blocked"]
+    assert blocked and all("in cooldown" in e["reason"] for e in blocked)
+
+    clock.advance(10.0)
+    for _ in range(3):
+        controller.tick()
+        clock.advance(0.5)
+    assert pool.downs == 2
+
+
+def test_scale_down_stops_quietly_at_min_replicas():
+    clock = FakeClock()
+    pool = ScriptedPool(active=3, queue_depth=0, inflight=0)
+    controller, recorder = make_controller(
+        pool, clock, min_replicas=2, cooldown_seconds=0.0
+    )
+    for _ in range(12):
+        controller.tick()
+        clock.advance(1.0)
+    assert pool.downs == 1 and pool.active_replicas == 2
+    # reaching the floor is one action, not a stream of blocked events
+    assert [e["event"] for e in recorder.events()] == ["scale_down"]
+
+
+def test_a_direction_flip_restarts_the_hysteresis_window():
+    clock = FakeClock()
+    pool = ScriptedPool(active=2)
+    controller, _ = make_controller(pool, clock)
+
+    pool.queue_depth = 100  # two up-breach ticks...
+    for _ in range(2):
+        assert controller.tick().direction == "hold"
+        clock.advance(1.0)
+    pool.queue_depth = 0  # ...then two idle ticks...
+    for _ in range(2):
+        assert controller.tick().direction == "hold"
+        clock.advance(1.0)
+    pool.queue_depth = 100  # ...so growth must earn all three ticks again
+    for _ in range(2):
+        assert controller.tick().direction == "hold"
+        clock.advance(1.0)
+    assert controller.tick().direction == "up"
+    assert pool.ups == 1 and pool.downs == 0
+
+
+def test_a_failing_metrics_mirror_does_not_break_the_loop():
+    clock = FakeClock()
+    pool = ScriptedPool(active=1, queue_depth=100)
+
+    def broken_note(decision):
+        raise RuntimeError("metrics sink down")
+
+    pool.note_scale_decision = broken_note
+    controller, recorder = make_controller(pool, clock)
+    for _ in range(3):
+        decision = controller.tick()
+        clock.advance(1.0)
+    assert decision.direction == "up" and pool.ups == 1
+    assert [e["event"] for e in recorder.events()] == ["scale_up"]
+    assert controller.last_decision is decision
+
+
+def test_scale_events_carry_the_sampled_signals():
+    clock = FakeClock()
+    pool = MeasuredPool(p99_ms=123.45678, active=1, queue_depth=9, inflight=3)
+    controller, recorder = make_controller(pool, clock, slo_p99_ms=1000.0)
+    for _ in range(2):
+        hold = controller.tick()
+        clock.advance(1.0)
+    up = controller.tick()
+
+    assert not hold.acted and "replica" not in hold.as_dict()
+    assert up.acted and up.replica_id == 1
+    assert up.as_dict() == {
+        "direction": "up",
+        "target": 2,
+        "reason": up.reason,
+        "at": 1002.0,
+        "signals": {"queue_depth": 9, "inflight": 3, "active": 1,
+                    "p99_ms": 123.457},
+        "replica": 1,
+    }
+    (event,) = recorder.events()
+    assert event["event"] == "scale_up" and event["replica"] == 1
+    assert (event["queue_depth"], event["inflight"], event["active"],
+            event["p99_ms"]) == (9, 3, 1, 123.457)
+    assert controller.decisions == 3  # holds count as evaluated ticks
+
+
+def test_per_replica_signals_guard_an_empty_pool():
+    signals = PoolSignals(queue_depth=6, inflight=10, active=0, p99_ms=None)
+    assert signals.depth_per_replica == 6.0
+    assert signals.inflight_per_replica == 10.0
+    signals = PoolSignals(queue_depth=6, inflight=10, active=4, p99_ms=None)
+    assert signals.depth_per_replica == 1.5
+    assert signals.inflight_per_replica == 2.5
+
+
+def test_background_loop_ticks_until_stopped():
+    pool = ScriptedPool(active=1)
+    with PoolController(pool, interval=0.01) as controller:
+        assert controller.start() is controller
+        assert controller.start() is controller  # a second start is a no-op
+        deadline = time.monotonic() + 10.0
+        while controller.decisions < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert controller.decisions >= 3
+    # leaving the block stopped the loop: no tick lands afterwards
+    settled = controller.decisions
+    time.sleep(0.05)
+    assert controller.decisions == settled
+    assert controller.last_decision.direction == "hold"
 
 
 # ----------------------------------------------------------------------

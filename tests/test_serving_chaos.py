@@ -1,13 +1,13 @@
 """Chaos-layer semantics: replayable schedules, proxy faults, and the
-remote fleet's behavior under host death and gray failure.
+remote fleet's behavior under host death and a slow host.
 
 The cross-transport chaos *matrix* lives in the conformance suite
 (``test_transport_conformance.py``); this file pins the pieces the matrix
 builds on — that a named seed fully determines every injected fault — and
 the two remote-fleet scenarios that cannot be expressed as a client-leg
 retry loop: a host death (manual blackhole + dropped connections, the
-cross-host re-expression of the supervisor's kill -9 test) and a gray
-host that is alive but too slow to keep in placement.
+cross-host re-expression of the supervisor's kill -9 test) and a host
+that is alive but slow.
 """
 
 import json
@@ -280,21 +280,20 @@ def test_remote_host_death_rehomes_orphans_and_reconnects():
 
 
 # ----------------------------------------------------------------------
-# remote fleet: gray failure (alive but too slow to keep)
+# remote fleet: a slow but live host
 # ----------------------------------------------------------------------
-def test_gray_host_is_gated_out_of_placement_and_recovers():
-    """A host that answers — slowly — must be gated, not trusted.
+def test_slow_host_answers_every_solve_and_loses_nothing():
+    """A host that answers — slowly — keeps answering right.
 
     Host 0 sits behind a latency proxy adding 0.25 s per forwarded
-    chunk.  After ``gray_min_samples`` slow answers its EWMA crosses the
-    policy threshold: the handle stops accepting, placement shifts to
-    host 1, and a ``gray_degraded`` event is logged.  No job is lost at
-    any point.  After ``gray_cooloff`` the gate expires and the host is
-    re-admitted (``gray_recovered``).
+    chunk.  Host 1 is ejected, so the first solves must take the slow
+    host, and then restored.  Every answer is ``DONE`` and bit-identical
+    to a direct solve, and every job is admitted exactly once: latency
+    alone opens no breaker and loses nothing.
     """
     hosts = [_Host(), _Host()]
     schedule = ChaosSchedule(
-        "gray", faults=("latency",), every=1, latency_range=(0.25, 0.25)
+        "slow-host", faults=("latency",), every=1, latency_range=(0.25, 0.25)
     )
     proxy = ChaosTcpProxy(hosts[0].address, schedule=schedule).start()
     fleet = None
@@ -305,44 +304,23 @@ def test_gray_host_is_gated_out_of_placement_and_recovers():
             heartbeat_timeout=5.0,
             dead_after=10.0,
             request_timeout=30.0,
-            policy=FailurePolicy(
-                request_timeout=30.0,
-                gray_latency_threshold=0.08,
-                gray_alpha=1.0,      # EWMA == last sample: deterministic trip
-                gray_min_samples=2,
-                gray_cooloff=3.0,
-            ),
+            policy=FailurePolicy(request_timeout=30.0),
         ).start()
         stream = list(generate_requests(3, 64, seed=41))
         fleet.eject(1, drain=False)  # force the first solves onto the slow host
-        for f, b, audit in stream[:2]:
+        for index, (f, b, audit) in enumerate(stream):
+            if index == 2:
+                fleet.restore(1)
             response = fleet.solve(f, b, audit=audit)
             assert response.status is JobStatus.DONE
             assert np.array_equal(
                 response.labels, coarsest_partition(f, b, audit=audit).labels
             )
-        # two >0.25 s answers against a 0.08 s threshold: gated
         rows = {row["replica"]: row for row in fleet.replica_rows()}
-        assert rows[0]["accepting"] is False
-        assert "gray_degraded" in [e["event"] for e in fleet.events()]
-        # placement routes around the gray host — and still loses nothing
-        fleet.restore(1)
-        f, b, audit = stream[2]
-        response = fleet.solve(f, b, audit=audit)
-        assert response.status is JobStatus.DONE
-        rows = {row["replica"]: row for row in fleet.replica_rows()}
-        assert rows[1]["routed"] >= 1
-        # the gate expires after the cooloff: host 0 is re-admitted
-        deadline = time.monotonic() + 15.0
-        readmitted = False
-        while time.monotonic() < deadline:
-            rows = {row["replica"]: row for row in fleet.replica_rows()}
-            if rows[0]["accepting"]:
-                readmitted = True
-                break
-            time.sleep(0.1)
-        assert readmitted
-        assert "gray_recovered" in [e["event"] for e in fleet.events()]
+        assert rows[0]["routed"] >= 2
+        assert rows[0]["routed"] + rows[1]["routed"] == len(stream)
+        assert rows[0]["breaker"] == "closed"
+        assert not [e for e in fleet.events() if e["event"] in ("death", "rehome")]
     finally:
         if fleet is not None:
             fleet.shutdown()

@@ -1,13 +1,15 @@
 """The open-loop generator and what is built on it: per-phase accounting
-of a rate schedule, the capacity-knee rule, and the step load."""
+of a rate schedule, the capacity-knee rule, the capacity sweep and the
+``--loadgen`` command that commits its ``capacity_model``."""
 import json
-import pathlib
+import os
 import sys
 
-from repro.serving import CapacityModel, SolveService
-from repro.serving.bench import find_knee, run_open_loop, run_step_load
+from repro.serving import SolveService
+from repro.serving.__main__ import main as serving_main
+from repro.serving.bench import find_knee, run_capacity_sweep, run_open_loop
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_two_phase_schedule_accounts_for_every_offered_request():
@@ -58,18 +60,88 @@ def test_find_knee_skips_cells_that_lost_shed_too_much_or_missed_the_slo():
     assert find_knee([_cell(50.0, lost=1)]) is None
 
 
-def test_short_step_load_row_has_the_committed_keys_and_loses_nothing():
-    committed = json.loads((REPO / "BENCH_SERVING.json").read_text())
-    model = CapacityModel.from_document(
-        {"pools": [{"replicas": 1, "knee_rps": 50.0}, {"replicas": 2, "knee_rps": 200.0}]}
-    )
-    row = run_step_load(
-        mode="predictive", capacity_model=model, base_rps=40.0, step_factor=2.0,
-        duration=1.0, size=16, max_replicas=2,
-    )
-    for expected in committed["step_load"]["rows"]:
-        assert list(row) == list(expected)
-    assert row["lost"] == 0
-    assert row["requests"] == round(40.0 * 0.5) + round(80.0 * 0.5)
-    assert row["target_pool"] == 2  # 80 rps / 0.8 headroom needs pool 2's knee
-    assert row["pool_timeline"][0][1] == 1  # the pool starts at min_replicas
+def test_find_knee_ignores_cell_order_and_is_none_without_cells():
+    cells = [_cell(200.0, shed_fraction=0.5), _cell(50.0), _cell(100.0)]
+    assert find_knee(cells) == find_knee(list(reversed(cells))) == 100.0
+    assert find_knee([]) is None
+
+
+def _check_cell(cell):
+    assert cell["requests"] == round(cell["offered_rps"] * cell["duration_s"])
+    assert cell["admitted"] + cell["rejected"] == cell["requests"]
+    assert cell["shed"] == cell["requests"] - cell["completed"]
+    assert cell["shed_fraction"] == round(cell["shed"] / cell["requests"], 4)
+    assert cell["lost"] == 0
+    assert sum(cell["admitted_by_class"].values()) == cell["admitted"]
+    assert sum(cell["shed_by_class"].values()) == cell["rejected"]
+
+
+def test_capacity_sweep_accounts_for_every_cell_and_derives_each_knee():
+    model = run_capacity_sweep(replica_counts=(1, 2), rates_rps=(20.0, 40.0),
+                               duration=0.25, size=16, workers=1)
+    assert model["replica_counts"] == [1, 2]
+    assert model["rates_rps"] == [20.0, 40.0]
+    cells = model["cells"]
+    assert [(c["replicas"], c["offered_rps"]) for c in cells] == [
+        (1, 20.0), (1, 40.0), (2, 20.0), (2, 40.0)]
+    for cell in cells:
+        _check_cell(cell)
+    assert [p["replicas"] for p in model["pools"]] == [1, 2]
+    for pool in model["pools"]:
+        mine = [c for c in cells if c["replicas"] == pool["replicas"]]
+        assert pool["knee_rps"] == find_knee(
+            mine, slo_p99_ms=model["slo_p99_ms"],
+            max_shed_fraction=model["max_shed_fraction"])
+        assert pool["lost"] == 0
+        assert pool["max_achieved_rps"] == max(c["achieved_rps"] for c in mine)
+
+
+def test_committed_capacity_model_knees_follow_from_its_cells():
+    with open(os.path.join(REPO_ROOT, "BENCH_SERVING.json"), encoding="utf-8") as fh:
+        model = json.load(fh)["capacity_model"]
+    assert [p["replicas"] for p in model["pools"]] == model["replica_counts"]
+    for pool in model["pools"]:
+        mine = [c for c in model["cells"] if c["replicas"] == pool["replicas"]]
+        assert [c["offered_rps"] for c in mine] == model["rates_rps"]
+        for cell in mine:
+            _check_cell(cell)
+        assert pool["knee_rps"] == find_knee(
+            mine, slo_p99_ms=model["slo_p99_ms"],
+            max_shed_fraction=model["max_shed_fraction"])
+        assert pool["lost"] == 0
+
+
+def test_loadgen_merges_its_capacity_model_into_bench_out(tmp_path):
+    out = tmp_path / "BENCH_SERVING.json"
+    out.write_text(json.dumps({"experiment": "serving", "cells": [1, 2],
+                               "capacity_model": {"stale": True}}))
+    code = serving_main(["--loadgen", "--sweep", "--sweep-replicas", "1",
+                         "--sweep-rates", "10,20", "--duration", "0.2",
+                         "--size", "16", "--workers", "1",
+                         "--bench-out", str(out), "--quiet"])
+    assert code == 0
+    document = json.loads(out.read_text())
+    # the serving experiment's own keys survive; only the model is replaced
+    assert document["experiment"] == "serving" and document["cells"] == [1, 2]
+    model = document["capacity_model"]
+    assert "stale" not in model
+    assert model["replica_counts"] == [1] and model["rates_rps"] == [10.0, 20.0]
+    assert [c["offered_rps"] for c in model["cells"]] == [10.0, 20.0]
+
+
+def test_loadgen_without_sweep_measures_one_cell_at_the_serving_pool(tmp_path):
+    out = tmp_path / "capacity.json"
+    code = serving_main(["--loadgen", "--rate", "20", "--replicas", "2",
+                         "--duration", "0.2", "--size", "16", "--workers", "1",
+                         "--bench-out", str(out), "--quiet"])
+    assert code == 0
+    model = json.loads(out.read_text())["capacity_model"]
+    assert model["replica_counts"] == [2] and model["rates_rps"] == [20.0]
+    (cell,) = model["cells"]
+    _check_cell(cell)
+    assert (cell["replicas"], cell["requests"]) == (2, 4)
+
+
+def test_loadgen_refuses_to_share_the_process_with_a_server(capsys):
+    assert serving_main(["--loadgen", "--http", "--port", "0", "--quiet"]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
