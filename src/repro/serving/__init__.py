@@ -88,11 +88,11 @@ Or asynchronously, coalescing a burst of requests into shared batches::
 
     responses = await asyncio.gather(*(svc.async_solve(f, b) for f, b in work))
 
-``python -m repro.serving --workers 4 --batch-size 32`` runs a
+``python -m repro.serving burst --workers 4 --batch-size 32`` runs a
 self-contained load-generator demo and prints the metrics table;
-``repro-serve --http --replicas 3`` serves the whole stack over HTTP,
-``repro-serve --connect URL`` fires the same burst at a running server
-over the wire, and ``repro-serve --loadgen`` measures a pool open loop.
+``repro-serve serve --replicas 3`` serves the whole stack over HTTP,
+``repro-serve connect URL`` fires the same burst at a running server
+over the wire, and ``repro-serve load`` measures a pool open loop.
 """
 
 from .autoscale import (

@@ -1,282 +1,335 @@
 """Command-line front end: ``python -m repro.serving`` / ``repro-serve``.
 
-Six modes:
+One subcommand per mode; each accepts only the flags its mode reads.  A
+usage or configuration error (a flag from another mode, a malformed
+value, an unreadable ``--remote-config``) names the flag and exits 2
+before anything binds, spawns or dials.
 
-* **Demo/smoke (default)** — runs a self-contained load-generator burst
-  against a fresh :class:`~repro.serving.service.SolveService`, verifies
-  every response against a direct single-instance solve, and prints the
-  metrics table.
-* **Server (``--http``)** — boots the protocol-sniffing ingress
-  (:mod:`repro.serving.framing`: framed and HTTP on one port) in front of
-  a ``SolveService``, a :class:`~repro.serving.replicas.ReplicaSet`
-  (``--replicas N``), with ``--processes`` a
-  :class:`~repro.serving.supervisor.ReplicaSupervisor` running each
-  replica as its own OS process, or with ``--remote HOST:PORT`` (and/or
-  ``--remote-config``) a
-  :class:`~repro.serving.remote.RemoteReplicaFleet` of framed replicas
-  on *other hosts*, and serves until interrupted, draining on shutdown.
-* **Replica worker (``--replica-worker``)** — the child end of
-  ``--processes`` (and a fine standalone remote host): one service behind
-  a framed ingress on an ephemeral port, announced through
-  ``--port-file``; drains and exits 0 on SIGTERM or when its parent's
-  stdin pipe closes.
-* **Wire load generator (``--connect URL``)** — fires the demo burst at an
-  *already-running* server over HTTP, verifies responses against direct
-  solves, and snapshots the server's ``/metrics`` document;
-  ``--connect-retries N`` rides out dropped connections (chaos smoke).
-  It shares the demo's driver (:func:`~repro.serving.bench.run_load`),
-  report and exit codes.
-* **Open-loop load generator (``--loadgen``)** — offers requests at a
-  fixed arrival rate to a fresh in-process pool and measures how it
-  copes (latency percentiles, shed fraction, nothing-lost check);
-  ``--sweep`` runs the full capacity grid (replica counts × offered
-  rates) and reports each pool size's knee — the measured capacity
-  model behind ``BENCH_SERVING.json``.
-* **Chaos proxy (``--chaos-proxy --upstream HOST:PORT``)** — a
-  deterministic fault-injecting TCP proxy
-  (:mod:`repro.serving.chaos`): seeded schedule of latency, resets,
-  partial writes, frame corruption, heartbeat drops and blackholes,
-  replayable via ``--chaos-seed`` and exported with
-  ``--chaos-schedule-out``.
+``serve`` boots the protocol-sniffing ingress (:mod:`repro.serving.framing`:
+framed and HTTP on one port) in front of a
+:class:`~repro.serving.service.SolveService`, a
+:class:`~repro.serving.replicas.ReplicaSet` (``--replicas N``, or ``auto``
+under a :class:`~repro.serving.autoscale.PoolController`), with
+``--processes`` a :class:`~repro.serving.supervisor.ReplicaSupervisor` of
+child processes, or with ``--remote``/``--remote-config`` a
+:class:`~repro.serving.remote.RemoteReplicaFleet` of framed hosts.  It
+serves until interrupted and exits 0 once drained.
 
-Examples
---------
+``worker`` is the child that ``serve --processes`` spawns, and a
+standalone remote host: one service behind a framed ingress, its port
+announced through ``--port-file``.  It drains and exits 0 on SIGTERM or
+SIGINT, or when its parent's stdin pipe closes.
 
-The acceptance configuration (4 workers, 256 requests, batches of 32)::
+``proxy`` is a deterministic fault-injecting TCP proxy in front of
+``--upstream`` (:mod:`repro.serving.chaos`), its seeded schedule
+replayable via ``--chaos-seed`` and exported with
+``--chaos-schedule-out``.  It exits 0 when interrupted.
 
-    python -m repro.serving --workers 4 --batch-size 32 --requests 256
+``load`` offers each rate of ``--rates`` open loop to a fresh in-process
+pool of each size in ``--replicas`` and reports each cell's latency and
+shed fraction and each pool's knee, the highest rate absorbed with p99
+within ``--slo-p99-ms``: the capacity model that ``--bench-out`` merges
+into ``BENCH_SERVING.json``.  It exits 1 if an admitted job never
+settled, else 0.
 
-Serve 3 replicas over HTTP on an ephemeral port, announcing it in a file
-(the CI ``transport-smoke`` pattern), then drive it over the wire::
+``burst``, the demo and CI serving smoke, fires ``--requests`` concurrent
+solves at a fresh in-process service, verifies each response against a
+direct single-instance solve and prints the metrics table.  It exits 0
+on success, 1 on lost, incomplete or mismatched jobs, and 2 when
+``--require-batching`` saw no multi-request batch.
 
-    repro-serve --http --port 0 --replicas 3 --port-file /tmp/port
-    repro-serve --connect http://127.0.0.1:$(cat /tmp/port) --requests 64 \
-        --metrics-out transport-metrics.json
+``connect URL`` fires the same burst at a running server over HTTP
+through the same driver (:func:`~repro.serving.bench.run_load`), with
+``burst``'s report and exit codes; its metrics are the server's.
+``--connect-retries N`` rides out dropped connections.
 
-Exit codes: 0 success; 1 incomplete or mismatched responses; 2 no
-multi-request batch despite ``--require-batching``.
+The acceptance configuration, then a 3-replica server on an ephemeral
+port (the CI ``transport-smoke`` pattern) driven over the wire::
+
+    python -m repro.serving burst --workers 4 --batch-size 32 --requests 256
+    repro-serve serve --port 0 --replicas 3 --port-file /tmp/port &
+    repro-serve connect http://127.0.0.1:$(cat /tmp/port) --requests 64
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import signal
 import sys
+import threading
 import time
 from typing import Optional, Sequence
 
 from ..analysis.tables import render_table
-from .bench import run_load
+from . import (FAULT_KINDS, AutoscalingPolicy, ChaosSchedule, ChaosTcpProxy,
+               FramedIngress, PoolController, RemoteReplicaFleet, ReplicaSet,
+               ReplicaSupervisor, SolveService)
+from .bench import run_capacity_sweep, run_load
+from .handles import parse_address
 
 #: Schema stamp of the ``--metrics-out`` JSON document.
 METRICS_SCHEMA = "repro.serving"
 METRICS_SCHEMA_VERSION = 1
 
 
+def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag group that subcommands take as a parent parser."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _mode(modes, name: str, run, parents: list, help: str) -> argparse.ArgumentParser:
+    """One subcommand; no flag abbreviations, so no retired spelling
+    (``--rate``) survives as a prefix of a current one (``--rates``)."""
+    sub = modes.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+    sub.set_defaults(run=run)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.serving",
-        description="Load-generator demo/smoke for the micro-batching SFCP service.",
+        prog="python -m repro.serving", allow_abbrev=False,
+        description="Serve, drive and measure the micro-batching SFCP service.",
     )
-    parser.add_argument("--workers", type=int, default=4, help="worker shards (default 4)")
-    parser.add_argument("--batch-size", type=int, default=32, help="max requests per batch")
-    parser.add_argument(
+    modes = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    quiet = _group()
+    quiet.add_argument("--quiet", "-q", action="store_true", help="suppress tables")
+    solve = _group(quiet)
+    solve.add_argument("--algorithm", default="jaja-ryu", help="partition algorithm")
+    solve.add_argument("--seed", type=int, default=0, help="generator seed")
+    # Service sizing; `load` builds its pools without the batching knobs.
+    pool = _group(solve)
+    pool.add_argument("--workers", type=_positive(int), default=4,
+                      help="worker shards (default 4)")
+    pool.add_argument("--queue-capacity", type=_positive(int), default=1024,
+                      help="ingress bound")
+    service = _group(pool)
+    service.add_argument("--batch-size", type=_positive(int), default=32,
+                         help="max requests per batch")
+    service.add_argument(
         "--batch-delay-ms", type=float, default=2.0,
         help="max time a partially-filled batch is held open (default 2ms)",
     )
-    parser.add_argument("--queue-capacity", type=int, default=1024, help="ingress bound")
-    parser.add_argument("--requests", type=int, default=256, help="burst size (default 256)")
-    parser.add_argument("--size", type=int, default=256, help="nodes per instance (default 256)")
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument("--algorithm", default="jaja-ryu", help="partition algorithm")
-    parser.add_argument(
-        "--no-audit-mix", action="store_true",
-        help="send only audited traffic (default mixes audited/unaudited)",
-    )
-    parser.add_argument(
-        "--no-verify", action="store_true",
-        help="skip comparing responses against direct single-instance solves",
-    )
-    parser.add_argument(
-        "--require-batching", action="store_true",
-        help="exit 2 unless at least one multi-request batch formed (CI smoke)",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the final metrics snapshot as JSON to PATH",
-    )
-    parser.add_argument("--quiet", "-q", action="store_true", help="suppress tables")
-
-    net = parser.add_argument_group("network transport")
-    net.add_argument(
-        "--http", action="store_true",
-        help="serve HTTP instead of running the demo burst",
-    )
-    net.add_argument("--host", default="127.0.0.1", help="bind address (default loopback)")
-    net.add_argument(
-        "--port", type=int, default=8080,
-        help="TCP port for --http (0 = ephemeral; see --port-file)",
-    )
-    net.add_argument(
+    listen = _group()
+    listen.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default loopback)")
+    listen.add_argument("--port", type=int, default=8080,
+                        help="TCP port (0 = ephemeral; see --port-file)")
+    listen.add_argument(
         "--port-file", default=None, metavar="PATH",
         help="write the bound port to PATH once listening (readiness signal)",
     )
-    net.add_argument(
+    ingress = _group(service, listen)
+    ingress.add_argument(
+        "--max-inflight", type=int, default=None,
+        help="transport admission cap: pending requests beyond this get 429",
+    )
+    stream = _group()
+    stream.add_argument("--requests", type=_positive(int), default=256,
+                        help="burst size (default 256)")
+    stream.add_argument("--size", type=_positive(int), default=256,
+                        help="nodes per instance (default 256)")
+    stream.add_argument(
+        "--no-audit-mix", action="store_true",
+        help="send only audited traffic (default mixes audited/unaudited)",
+    )
+    stream.add_argument(
+        "--no-verify", action="store_true",
+        help="skip comparing responses against direct single-instance solves",
+    )
+    stream.add_argument(
+        "--require-batching", action="store_true",
+        help="exit 2 unless at least one multi-request batch formed (CI smoke)",
+    )
+    stream.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help="write the final metrics snapshot as JSON to PATH",
+    )
+    secret = os.environ.get("REPRO_AUTH_SECRET")
+
+    serve = _mode(modes, "serve", cmd_serve, [ingress],
+                  "serve HTTP and framed requests until interrupted")
+    serve.add_argument(
         "--replicas", type=_replicas_spec, default=1, metavar="N|auto",
         help="serve a ReplicaSet of N services behind the ingress "
              "(default 1), or 'auto' to let the pool controller size it "
              "between --min-replicas and --max-replicas",
     )
-    net.add_argument(
-        "--min-replicas", type=int, default=1, metavar="N",
+    serve.add_argument(
+        "--min-replicas", type=_positive(int), default=1, metavar="N",
         help="--replicas auto: lower pool bound and starting size (default 1)",
     )
-    net.add_argument(
-        "--max-replicas", type=int, default=8, metavar="N",
-        help="--replicas auto: upper pool bound (default 8)",
+    serve.add_argument("--max-replicas", type=_positive(int), default=8, metavar="N",
+                       help="--replicas auto: upper pool bound (default 8)")
+    serve.add_argument(
+        "--slo-p99-ms", type=_positive(float), default=None, metavar="MS",
+        help="--replicas auto: also scale up while the rolling p99 exceeds MS",
     )
-    net.add_argument(
-        "--slo-p99-ms", type=float, default=None, metavar="MS",
-        help="rolling-p99 latency SLO: --replicas auto scales up when the "
-             "measured p99 exceeds it (and --loadgen uses it to place the "
-             "capacity knee)",
-    )
-    net.add_argument(
-        "--scale-interval", type=float, default=0.25, metavar="SECONDS",
+    serve.add_argument(
+        "--scale-interval", type=_positive(float), default=0.25, metavar="SECONDS",
         help="--replicas auto: pool-controller tick period, > 0 (default 0.25)",
     )
-    net.add_argument(
+    serve.add_argument(
         "--processes", action="store_true",
         help="run each replica as its own supervised OS process "
              "(crash-restarted, jobs re-homed) instead of in-process",
     )
-    net.add_argument(
-        "--heartbeat-interval", type=float, default=0.05, metavar="SECONDS",
+    serve.add_argument(
+        "--heartbeat-interval", type=_positive(float), default=0.05, metavar="SECONDS",
         help="replica wire-heartbeat period for --processes/--remote (default 0.05)",
     )
-    net.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
+    serve.add_argument(
+        "--heartbeat-timeout", type=_positive(float), default=None, metavar="SECONDS",
         help="seconds without a heartbeat before a replica is health-gated "
              "(default max(1.0, 20 * heartbeat interval); must exceed the "
              "interval)",
     )
-    net.add_argument(
+    serve.add_argument(
         "--supervisor-log", default=None, metavar="PATH",
         help="append replica-pool lifecycle and scale events as JSON lines to PATH",
     )
-    net.add_argument(
-        "--replica-worker", action="store_true",
-        help=argparse.SUPPRESS,  # internal: child end of --processes
+    serve.add_argument(
+        "--remote", type=_address, action="append", default=None, metavar="HOST:PORT",
+        help="serve a fleet of remote framed replicas at these addresses (repeatable)",
     )
-    net.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="transport admission cap: pending requests beyond this get 429",
+    serve.add_argument(
+        "--remote-config", type=_remote_config, default=None, metavar="PATH",
+        help="JSON file with {\"replicas\": [\"host:port\", ...]} to extend --remote",
     )
-    net.add_argument(
-        "--connect", default=None, metavar="URL",
-        help="drive an already-running server over the wire instead of "
-             "booting one (load generator for CI smoke)",
-    )
-    net.add_argument(
-        "--connect-retries", type=int, default=0, metavar="N",
-        help="--connect only: re-send a job on a dropped connection up to "
-             "N times (chaos smoke: ride out resets/partitions)",
-    )
-
-    remote = parser.add_argument_group("cross-host replicas")
-    remote.add_argument(
-        "--remote", action="append", default=None, metavar="HOST:PORT",
-        help="serve a fleet of remote framed replicas at these addresses "
-             "(repeatable); implies --http",
-    )
-    remote.add_argument(
-        "--remote-config", default=None, metavar="PATH",
-        help="JSON file with {\"replicas\": [\"host:port\", ...]} to extend "
-             "--remote",
-    )
-    remote.add_argument(
-        "--auth-secret", default=None, metavar="SECRET",
-        help="framed shared secret: a --replica-worker *requires* it after "
-             "the connection magic (and drops plain HTTP), while --remote "
-             "presents it when dialing each host "
+    serve.add_argument(
+        "--auth-secret", default=secret, metavar="SECRET",
+        help="framed shared secret presented when dialing each remote host "
              "(env REPRO_AUTH_SECRET also works)",
     )
 
-    gen = parser.add_argument_group("open-loop load generator")
-    gen.add_argument(
-        "--loadgen", action="store_true",
-        help="offer requests at a fixed arrival rate to a fresh in-process "
-             "pool and report latency/shed (open loop: saturation shows up "
-             "instead of being hidden by a self-throttling client)",
-    )
-    gen.add_argument(
-        "--sweep", action="store_true",
-        help="--loadgen: run the full capacity sweep (replica counts x "
-             "offered rates) and report each pool's knee",
-    )
-    gen.add_argument(
-        "--rate", type=float, default=50.0, metavar="RPS",
-        help="--loadgen without --sweep: offered arrival rate (default 50)",
-    )
-    gen.add_argument(
-        "--duration", type=float, default=2.0, metavar="SECONDS",
-        help="--loadgen: how long each cell offers load (default 2.0)",
-    )
-    gen.add_argument(
-        "--sweep-replicas", default="1,2,4", metavar="N,N,...",
-        help="--sweep: replica counts to sweep (default 1,2,4)",
-    )
-    gen.add_argument(
-        "--sweep-rates", default="25,50,100,200,400", metavar="RPS,RPS,...",
-        help="--sweep: offered rates to sweep (default 25,50,100,200,400)",
-    )
-    gen.add_argument(
-        "--max-shed-fraction", type=float, default=0.05, metavar="F",
-        help="--sweep: shed fraction above which a cell is past the knee "
-             "(default 0.05)",
-    )
-    gen.add_argument(
-        "--bench-out", default=None, metavar="PATH",
-        help="--loadgen: write the capacity model as JSON to PATH",
+    worker = _mode(modes, "worker", cmd_worker, [ingress],
+                   "one replica behind a framed ingress (the child of serve --processes)")
+    worker.add_argument(
+        "--auth-secret", default=secret, metavar="SECRET",
+        help="framed shared secret required after the connection magic; plain "
+             "HTTP is then dropped (env REPRO_AUTH_SECRET also works)",
     )
 
-    chaos = parser.add_argument_group("chaos proxy")
-    chaos.add_argument(
-        "--chaos-proxy", action="store_true",
-        help="run a deterministic fault-injecting TCP proxy instead of a "
-             "server (requires --upstream)",
-    )
-    chaos.add_argument(
-        "--upstream", default=None, metavar="HOST:PORT",
-        help="--chaos-proxy: address to forward to",
-    )
-    chaos.add_argument(
+    proxy = _mode(modes, "proxy", cmd_proxy, [quiet, listen],
+                  "deterministic fault-injecting TCP proxy in front of --upstream")
+    proxy.add_argument("--upstream", required=True, metavar="HOST:PORT",
+                       help="address to forward to")
+    proxy.add_argument(
         "--chaos-seed", default="0", metavar="SEED",
         help="named seed for the fault schedule (same seed = same faults)",
     )
-    chaos.add_argument(
-        "--chaos-faults", default=None, metavar="KINDS",
+    proxy.add_argument(
+        "--chaos-faults", type=_fault_kinds, default=FAULT_KINDS, metavar="KINDS",
         help="comma-separated fault kinds to rotate through "
              "(default: all; 'none' = clean pass-through)",
     )
-    chaos.add_argument(
-        "--chaos-every", type=int, default=3, metavar="N",
-        help="inject a fault on every Nth connection (default 3)",
-    )
-    chaos.add_argument(
+    proxy.add_argument("--chaos-every", type=_positive(int), default=3, metavar="N",
+                       help="inject a fault on every Nth connection (default 3)")
+    proxy.add_argument(
         "--chaos-schedule-out", default=None, metavar="PATH",
-        help="write the deterministic fault schedule as JSON to PATH "
-             "(replay artifact)",
+        help="write the deterministic fault schedule as JSON to PATH (replay artifact)",
+    )
+
+    load = _mode(modes, "load", cmd_load, [pool],
+                 "open-loop capacity grid against fresh in-process pools")
+    load.add_argument("--size", type=_positive(int), default=256,
+                      help="nodes per instance (default 256)")
+    load.add_argument("--replicas", type=_positive(int, many=True), default=[1],
+                      metavar="N,...", help="pool sizes to measure (default 1)")
+    load.add_argument("--rates", type=_positive(float, many=True), default=[50.0],
+                      metavar="RPS,...", help="offered arrival rates (default 50)")
+    load.add_argument(
+        "--duration", type=_positive(float), default=2.0, metavar="SECONDS",
+        help="how long each cell offers load (default 2.0)",
+    )
+    load.add_argument(
+        "--slo-p99-ms", type=_positive(float), default=500.0, metavar="MS",
+        help="a pool's knee needs p99 within MS (default 500)",
+    )
+    load.add_argument(
+        "--max-shed-fraction", type=float, default=0.05, metavar="F",
+        help="shed fraction above which a cell is past the knee (default 0.05)",
+    )
+    load.add_argument("--bench-out", default=None, metavar="PATH",
+                      help="merge the capacity model as JSON into PATH")
+
+    _mode(modes, "burst", cmd_burst, [service, stream],
+          "verified burst at a fresh in-process service (demo and CI smoke)")
+    connect = _mode(modes, "connect", cmd_connect, [solve, stream],
+                    "verified burst at a running server over HTTP")
+    connect.add_argument("url", metavar="URL", help="base URL of the server")
+    connect.add_argument(
+        "--connect-retries", type=int, default=0, metavar="N",
+        help="re-send a job on a dropped connection up to N times "
+             "(chaos smoke: ride out resets/partitions)",
     )
     return parser
 
 
 def _replicas_spec(value: str):
-    """``--replicas`` accepts an integer or the literal ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    return int(value)
+    """``serve --replicas`` accepts an integer > 0 or the literal ``auto``."""
+    return "auto" if value.strip().lower() == "auto" else _positive(int)(value)
+
+
+def _positive(kind, many: bool = False):
+    """Type of a flag taking a finite ``kind`` > 0, or with ``many`` a
+    comma-separated list of them."""
+    def parse(text: str):
+        try:
+            values = [kind(x) for x in (text.split(",") if many else [text])]
+        except ValueError:
+            values = []
+        if not values or not all(0 < v < math.inf for v in values):
+            raise argparse.ArgumentTypeError(
+                f"expected {'comma-separated ' if many else ''}{kind.__name__} > 0, "
+                f"got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
+def _address(text: str) -> str:
+    """A replica ``HOST:PORT``, checked before anything dials it."""
+    try:
+        if parse_address(text)[1] <= 65535:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+
+
+def _remote_config(path: str) -> list:
+    """The addresses in a ``{"replicas": ["host:port", ...]}`` JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
+    addresses = document.get("replicas") if isinstance(document, dict) else document
+    if (not addresses or not isinstance(addresses, list)
+            or not all(isinstance(a, str) for a in addresses)):
+        raise argparse.ArgumentTypeError(
+            f"{path}: expected {{\"replicas\": [\"host:port\", ...]}}")
+    return [_address(a) for a in addresses]
+
+
+def _fault_kinds(text: str) -> tuple:
+    """``--chaos-faults``: known fault kinds, or ``none`` for no faults."""
+    if text == "none":
+        return ()
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    unknown = [k for k in kinds if k not in FAULT_KINDS]
+    if unknown or not kinds:
+        raise argparse.ArgumentTypeError(
+            f"unknown fault kind(s) {unknown}; choose from {list(FAULT_KINDS)} or 'none'")
+    return kinds
+
+
+def _refuse(message: str) -> int:
+    print(f"[repro.serving] {message}", file=sys.stderr)
+    return 2
 
 
 def _write_text(path: str, text: str) -> None:
@@ -312,49 +365,47 @@ def _merge_json(path: str, key: str, section, say) -> None:
     _write_json(path, document, say)
 
 
-def _auth_secret(args) -> Optional[str]:
-    return args.auth_secret or os.environ.get("REPRO_AUTH_SECRET") or None
-
-
-def _remote_addresses(args) -> list:
-    """Collect the static replica list from --remote and --remote-config."""
-    addresses = list(args.remote or [])
-    if args.remote_config:
-        with open(args.remote_config, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-        extra = document.get("replicas") if isinstance(document, dict) else document
-        if not isinstance(extra, list) or not all(isinstance(a, str) for a in extra):
-            raise ValueError(
-                f"{args.remote_config}: expected {{\"replicas\": [\"host:port\", ...]}}"
-            )
-        addresses.extend(extra)
-    return addresses
-
-
-def serve_http(args, say) -> int:
-    """``--http``: boot the ingress and serve until interrupted."""
-    from .framing import FramedIngress
-    from .remote import RemoteReplicaFleet
-    from .replicas import ReplicaSet
-    from .service import SolveService
-    from .supervisor import ReplicaSupervisor
-
-    service_kwargs = dict(
+def _service_kwargs(args) -> dict:
+    return dict(
         workers=args.workers,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
         default_algorithm=args.algorithm,
     )
-    auto_scale = args.replicas == "auto"
-    start_replicas = max(1, args.min_replicas) if auto_scale else max(1, args.replicas)
-    remote_addresses = _remote_addresses(args)
+
+
+def cmd_serve(args, say) -> int:
+    """``serve``: boot the ingress and serve until interrupted."""
+    remote_addresses = (args.remote or []) + (args.remote_config or [])
+    if remote_addresses and args.processes:
+        return _refuse("--processes cannot be combined with --remote or "
+                       "--remote-config: remote hosts run their own processes")
+    if (args.heartbeat_timeout is not None
+            and args.heartbeat_timeout <= args.heartbeat_interval):
+        return _refuse(f"--heartbeat-timeout ({args.heartbeat_timeout:g}s) must "
+                       f"exceed --heartbeat-interval ({args.heartbeat_interval:g}s)")
+    policy = None
+    if args.replicas == "auto":
+        max_replicas = args.max_replicas
+        if remote_addresses:
+            # A fleet cannot fork hosts: growth is bounded by the list.
+            max_replicas = min(max_replicas, len(remote_addresses))
+        try:
+            policy = AutoscalingPolicy(min_replicas=args.min_replicas,
+                                       max_replicas=max_replicas,
+                                       slo_p99_ms=args.slo_p99_ms)
+        except ValueError as exc:
+            return _refuse(f"--min-replicas/--max-replicas: {exc}")
+
+    service_kwargs = _service_kwargs(args)
+    start_replicas = policy.min_replicas if policy is not None else args.replicas
     if remote_addresses:
         backend = RemoteReplicaFleet(
             remote_addresses,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            auth_secret=_auth_secret(args),
+            auth_secret=args.auth_secret or None,
             event_log=args.supervisor_log,
         ).start()
         say(f"[repro.serving] remote fleet: {backend.num_replicas} host(s) "
@@ -370,7 +421,7 @@ def serve_http(args, say) -> int:
         ).start()
         say(f"[repro.serving] replica supervisor: {backend.num_replicas} "
             f"process(es) x {args.workers} worker(s)")
-    elif auto_scale or args.replicas > 1:
+    elif policy is not None or start_replicas > 1:
         backend = ReplicaSet(start_replicas, seed=args.seed,
                              event_log=args.supervisor_log, **service_kwargs)
         say(f"[repro.serving] replica set: {start_replicas} x {args.workers} worker(s)")
@@ -378,27 +429,10 @@ def serve_http(args, say) -> int:
         backend = SolveService(seed=args.seed, **service_kwargs)
 
     controller = None
-    if auto_scale:
-        from .autoscale import AutoscalingPolicy, PoolController
-
-        max_replicas = args.max_replicas
-        if remote_addresses:
-            # A fleet cannot fork hosts: growth is bounded by the list.
-            max_replicas = min(max_replicas, len(remote_addresses))
-        try:
-            policy = AutoscalingPolicy(
-                min_replicas=max(1, args.min_replicas),
-                max_replicas=max(1, max_replicas),
-                slo_p99_ms=args.slo_p99_ms,
-            )
-            controller = PoolController(
-                backend, policy, recorder=backend.recorder,
-                interval=args.scale_interval,
-            )
-        except ValueError as exc:
-            backend.shutdown(drain=True)
-            print(f"[repro.serving] {exc}", file=sys.stderr)
-            return 2
+    if policy is not None:
+        controller = PoolController(
+            backend, policy, recorder=backend.recorder, interval=args.scale_interval,
+        )
         controller.start()
         say(f"[repro.serving] pool controller: {policy.min_replicas}.."
             f"{policy.max_replicas} replicas, tick {args.scale_interval:g}s"
@@ -406,7 +440,7 @@ def serve_http(args, say) -> int:
                if policy.slo_p99_ms else ""))
     # The fleet authenticates *outbound* to the remote hosts; the local
     # front stays open (HTTP + framed) for healthz/metrics/load-gen.  An
-    # auth-requiring framed server is the --replica-worker mode.
+    # auth-requiring framed server is the `worker` subcommand.
     ingress = FramedIngress(
         backend, host=args.host, port=args.port, max_inflight=args.max_inflight
     ).start_in_thread()
@@ -429,8 +463,8 @@ def serve_http(args, say) -> int:
     return 0
 
 
-def run_replica_worker(args, say) -> int:
-    """``--replica-worker``: one supervised replica process.
+def cmd_worker(args, say) -> int:
+    """``worker``: one supervised replica process.
 
     Serves a single :class:`SolveService` behind a framed ingress on the
     requested (usually ephemeral) port, announces the port through
@@ -439,23 +473,10 @@ def run_replica_worker(args, say) -> int:
     (the supervisor holds the other end of that pipe, so EOF means the
     parent died and the worker must not linger as an orphan).
     """
-    import signal
-    import threading
-
-    from .framing import FramedIngress
-    from .service import SolveService
-
-    service = SolveService(
-        workers=args.workers,
-        max_batch_size=args.batch_size,
-        max_batch_delay=args.batch_delay_ms / 1e3,
-        queue_capacity=args.queue_capacity,
-        default_algorithm=args.algorithm,
-        seed=args.seed,
-    )
+    service = SolveService(seed=args.seed, **_service_kwargs(args))
     ingress = FramedIngress(
         service, host=args.host, port=args.port, max_inflight=args.max_inflight,
-        auth_secret=_auth_secret(args),
+        auth_secret=args.auth_secret or None,
     ).start_in_thread()
     if args.port_file:
         _write_text(args.port_file, f"{ingress.port}\n")
@@ -490,8 +511,8 @@ def run_replica_worker(args, say) -> int:
     return 0
 
 
-def run_chaos_proxy(args, say) -> int:
-    """``--chaos-proxy``: deterministic fault-injecting TCP proxy.
+def cmd_proxy(args, say) -> int:
+    """``proxy``: deterministic fault-injecting TCP proxy.
 
     Sits between clients and an already-running server, injecting the
     seeded fault schedule connection by connection.  The schedule is pure
@@ -499,24 +520,10 @@ def run_chaos_proxy(args, say) -> int:
     replayed exactly; ``--chaos-schedule-out`` writes it as JSON for CI
     artifacts.
     """
-    from .chaos import FAULT_KINDS, ChaosSchedule, ChaosTcpProxy
-
-    if not args.upstream:
-        print("[repro.serving] --chaos-proxy requires --upstream HOST:PORT",
-              file=sys.stderr)
-        return 2
     schedule: Optional[ChaosSchedule] = None
-    if args.chaos_faults != "none":
-        if args.chaos_faults:
-            faults = tuple(k.strip() for k in args.chaos_faults.split(",") if k.strip())
-            unknown = [k for k in faults if k not in FAULT_KINDS]
-            if unknown:
-                print(f"[repro.serving] unknown fault kind(s) {unknown}; "
-                      f"choose from {list(FAULT_KINDS)}", file=sys.stderr)
-                return 2
-        else:
-            faults = FAULT_KINDS
-        schedule = ChaosSchedule(args.chaos_seed, faults=faults, every=args.chaos_every)
+    if args.chaos_faults:
+        schedule = ChaosSchedule(args.chaos_seed, faults=args.chaos_faults,
+                                 every=args.chaos_every)
     proxy = ChaosTcpProxy(args.upstream, schedule=schedule,
                           host=args.host, port=args.port).start()
     if args.chaos_schedule_out and schedule is not None:
@@ -539,24 +546,12 @@ def run_chaos_proxy(args, say) -> int:
     return 0
 
 
-def run_loadgen(args, say) -> int:
-    """``--loadgen``: open-loop overload measurement.
-
-    ``--sweep`` runs the capacity grid; without it, one cell (``--rate``
-    against ``--replicas``) is a one-by-one sweep.
-    """
-    from .bench import run_capacity_sweep
-
-    if args.sweep:
-        replica_counts = [int(x) for x in args.sweep_replicas.split(",") if x.strip()]
-        rates = [float(x) for x in args.sweep_rates.split(",") if x.strip()]
-    else:
-        replica_counts = [max(1, args.min_replicas) if args.replicas == "auto"
-                          else max(1, args.replicas)]
-        rates = [args.rate]
+def cmd_load(args, say) -> int:
+    """``load``: open-loop overload measurement over the ``--replicas`` x
+    ``--rates`` grid."""
     model = run_capacity_sweep(
-        replica_counts=replica_counts,
-        rates_rps=rates,
+        replica_counts=args.replicas,
+        rates_rps=args.rates,
         duration=args.duration,
         size=args.size,
         seed=args.seed,
@@ -589,32 +584,38 @@ def run_loadgen(args, say) -> int:
     return 0
 
 
-def run_burst(args, say) -> int:
-    """The default burst, or with ``--connect URL`` the same burst over
-    HTTP at a running server: fire, verify, report, exit."""
-    if args.connect:
-        say(f"[repro.serving] over-the-wire burst of {args.requests} requests "
-            f"(n={args.size}) -> {args.connect}")
-        target = dict(url=args.connect, transport="http",
-                      connect_retries=max(0, args.connect_retries))
-    else:
-        say(f"[repro.serving] burst of {args.requests} requests (n={args.size}) -> "
-            f"{args.workers} worker(s), batch<= {args.batch_size}, "
-            f"delay {args.batch_delay_ms}ms")
-        target = {}
-    report = run_load(
+def _stream_kwargs(args) -> dict:
+    return dict(requests=args.requests, size=args.size, seed=args.seed,
+                algorithm=args.algorithm, audit_mix=not args.no_audit_mix,
+                verify=not args.no_verify)
+
+
+def cmd_burst(args, say) -> int:
+    """``burst``: fire the burst at a fresh in-process service."""
+    say(f"[repro.serving] burst of {args.requests} requests (n={args.size}) -> "
+        f"{args.workers} worker(s), batch<= {args.batch_size}, "
+        f"delay {args.batch_delay_ms}ms")
+    return _report(args, say, run_load(
         workers=args.workers,
         max_batch_size=args.batch_size,
         max_batch_delay=args.batch_delay_ms / 1e3,
         queue_capacity=args.queue_capacity,
-        requests=args.requests,
-        size=args.size,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        audit_mix=not args.no_audit_mix,
-        verify=not args.no_verify,
-        **target,
-    )
+        **_stream_kwargs(args),
+    ))
+
+
+def cmd_connect(args, say) -> int:
+    """``connect URL``: fire the same burst over HTTP at a running server."""
+    say(f"[repro.serving] over-the-wire burst of {args.requests} requests "
+        f"(n={args.size}) -> {args.url}")
+    return _report(args, say, run_load(
+        url=args.url, transport="http", connect_retries=max(0, args.connect_retries),
+        **_stream_kwargs(args),
+    ))
+
+
+def _report(args, say, report) -> int:
+    """Print a burst's metrics, write ``--metrics-out`` and pick the exit code."""
     m = report.metrics
     say("")
     say(render_table(m.as_rows(), title="repro.serving metrics snapshot"))
@@ -670,21 +671,7 @@ def run_burst(args, say) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     say = (lambda *_: None) if args.quiet else print
-    if sum(bool(m) for m in (args.http or args.remote or args.remote_config,
-                             args.connect, args.chaos_proxy,
-                             args.loadgen)) > 1:
-        print("[repro.serving] --http/--remote, --connect, --chaos-proxy "
-              "and --loadgen are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.chaos_proxy:
-        return run_chaos_proxy(args, say)
-    if args.replica_worker:
-        return run_replica_worker(args, say)
-    if args.http or args.remote or args.remote_config:
-        return serve_http(args, say)
-    if args.loadgen:
-        return run_loadgen(args, say)
-    return run_burst(args, say)
+    return args.run(args, say)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ a loopback ``"http"`` or ``"framed"`` ingress, optionally through a
 faults-disabled :class:`~repro.serving.chaos.ChaosTcpProxy`; these are the
 ``serving`` benchmark rows (``BENCH_SERVING.json``).  Given ``url`` it
 drives an *already-running* server instead and snapshots that server's
-``/metrics`` (``repro-serve --connect``, the CI smokes' load generator).
+``/metrics`` (``repro-serve connect``, the CI smokes' load generator).
 
 :func:`run_open_loop` is the *open-loop* generator: it offers requests to
 a caller-owned backend at the rates of a schedule of ``(rps, seconds)``

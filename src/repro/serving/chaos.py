@@ -11,11 +11,11 @@ The chaos layer has three pieces:
     schedule can be dumped to JSON (``dump``) for CI artifacts.
 
 ``ChaosTcpProxy``
-    A standalone threaded TCP proxy (exposed as ``repro-serve
-    --chaos-proxy``) that sits between a client and an upstream server
-    and applies the scheduled faults per accepted connection: added
-    latency, abrupt connection resets, partial writes, byte corruption,
-    frame-aware heartbeat drops, and blackhole/partition windows.  It
+    A standalone threaded TCP proxy (exposed as ``repro-serve proxy``)
+    that sits between a client and an upstream server and applies the
+    scheduled faults per accepted connection: added latency, abrupt
+    connection resets, partial writes, byte corruption, frame-aware
+    heartbeat drops, and blackhole/partition windows.  It
     also has manual controls (``set_blackhole``) so tests can simulate a
     remote host death at an exact moment.
 

@@ -11,7 +11,7 @@ the set's *slot source*, the one thing that differs per deployment:
 * :class:`ServiceSource` (the default) builds in-process
   :class:`~repro.serving.service.SolveService` replicas;
 * :class:`~repro.serving.supervisor.SpawnSource` spawns a
-  ``--replica-worker`` child per slot and restarts it when it dies
+  ``repro-serve worker`` child per slot and restarts it when it dies
   (:class:`~repro.serving.supervisor.ReplicaSupervisor`);
 * :class:`~repro.serving.remote.DialSource` dials one configured address
   per slot through a handle that reconnects itself

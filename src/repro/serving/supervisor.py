@@ -1,8 +1,8 @@
-"""The spawn slot source: replicas as supervised ``--replica-worker`` children.
+"""The spawn slot source: replicas as supervised ``repro-serve worker`` children.
 
 A :class:`ReplicaSupervisor` is a :class:`~repro.serving.replicas.ReplicaSet`
-whose :class:`SpawnSource` fills each slot with a ``repro-serve
---replica-worker`` child process — a full
+whose :class:`SpawnSource` fills each slot with a ``repro-serve worker``
+child process — a full
 :class:`~repro.serving.service.SolveService` behind a
 :class:`~repro.serving.framing.FramedIngress` on a loopback port — proxied
 by a :class:`~repro.serving.handles.ProcessReplicaHandle`.  Routing,
@@ -49,7 +49,7 @@ from .handles import Orphan, ProcessReplicaHandle
 from .policy import BackoffPolicy
 from .replicas import ReplicaSet
 
-#: service_kwargs key -> the ``repro-serve`` flag that carries it to a child.
+#: service_kwargs key -> the ``repro-serve worker`` flag that carries it to a child.
 _KWARG_FLAGS: Dict[str, str] = {
     "workers": "--workers",
     "max_batch_size": "--batch-size",
@@ -60,13 +60,13 @@ _KWARG_FLAGS: Dict[str, str] = {
 
 
 def _worker_argv(service_kwargs: Dict[str, Any]) -> List[str]:
-    """Translate SolveService kwargs into ``--replica-worker`` CLI flags."""
+    """Translate SolveService kwargs into ``repro-serve worker`` flags."""
     argv: List[str] = []
     for key, value in service_kwargs.items():
         flag = _KWARG_FLAGS.get(key)
         if flag is None:
             raise ValueError(
-                f"service kwarg {key!r} has no --replica-worker flag; "
+                f"service kwarg {key!r} has no worker flag; "
                 f"supported: {sorted(_KWARG_FLAGS)}"
             )
         if key == "max_batch_delay":
@@ -102,7 +102,7 @@ class _Child:
 
 
 class SpawnSource:
-    """Slot source spawning one ``--replica-worker`` child per slot.
+    """Slot source spawning one ``repro-serve worker`` child per slot.
 
     ``service_kwargs`` reach each child's ``SolveService`` as CLI flags;
     replica ``i`` is seeded ``seed + 1000 * i`` exactly as the in-process
@@ -258,8 +258,7 @@ class SpawnSource:
             self._tmpdir, f"replica-{child.replica_id}-{child.spawned}.port"
         )
         argv = [
-            sys.executable, "-m", "repro.serving",
-            "--replica-worker", "--quiet",
+            sys.executable, "-m", "repro.serving", "worker", "--quiet",
             "--host", self.host, "--port", "0",
             "--port-file", port_file,
             "--seed", str(self.seed + 1000 * child.replica_id),

@@ -10,7 +10,7 @@ call; :meth:`WorkerPool.submit` returns a
 
 The NumPy kernels release the GIL only partially, so the shards mostly
 interleave; their value is shard isolation and persistent ledgers.
-Process-level parallelism comes from process replicas (``repro-serve
+Process-level parallelism comes from process replicas (``repro-serve serve
 --processes``, :class:`~repro.serving.supervisor.ReplicaSupervisor`), which
 restart a crashed child and re-home its jobs.
 """

@@ -267,8 +267,10 @@ def test_controller_rejects_a_non_positive_tick_interval(interval, capsys):
     with pytest.raises(ValueError, match="interval"):
         PoolController(ScriptedPool(), interval=interval)
     # the CLI refuses before it serves, instead of spinning a core
-    assert serving_main(["--http", "--port", "0", "--replicas", "auto",
-                         "--scale-interval", str(interval), "--quiet"]) == 2
+    with pytest.raises(SystemExit) as refused:
+        serving_main(["serve", "--port", "0", "--replicas", "auto",
+                      "--scale-interval", str(interval), "--quiet"])
+    assert refused.value.code == 2
     assert "interval" in capsys.readouterr().err
 
 

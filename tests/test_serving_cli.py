@@ -1,0 +1,151 @@
+"""The ``repro-serve`` command line: one subcommand per mode, each taking
+only the flags its mode reads, and every configuration error refused
+with exit 2 before anything binds, spawns or dials."""
+import argparse
+import json
+import re
+
+import pytest
+
+import repro.serving.__main__ as cli
+
+URL = "http://127.0.0.1:1"
+
+FLAGS = {
+    "serve": {
+        "-h", "--help", "-q", "--quiet", "--algorithm", "--seed", "--workers",
+        "--queue-capacity", "--batch-size", "--batch-delay-ms", "--host",
+        "--port", "--port-file", "--max-inflight", "--replicas",
+        "--min-replicas", "--max-replicas", "--slo-p99-ms", "--scale-interval",
+        "--processes", "--heartbeat-interval", "--heartbeat-timeout",
+        "--supervisor-log", "--remote", "--remote-config", "--auth-secret",
+    },
+    "worker": {
+        "-h", "--help", "-q", "--quiet", "--algorithm", "--seed", "--workers",
+        "--queue-capacity", "--batch-size", "--batch-delay-ms", "--host",
+        "--port", "--port-file", "--max-inflight", "--auth-secret",
+    },
+    "proxy": {
+        "-h", "--help", "-q", "--quiet", "--host", "--port", "--port-file",
+        "--upstream", "--chaos-seed", "--chaos-faults", "--chaos-every",
+        "--chaos-schedule-out",
+    },
+    "load": {
+        "-h", "--help", "-q", "--quiet", "--algorithm", "--seed", "--workers",
+        "--queue-capacity", "--size", "--replicas", "--rates", "--duration",
+        "--slo-p99-ms", "--max-shed-fraction", "--bench-out",
+    },
+    "burst": {
+        "-h", "--help", "-q", "--quiet", "--algorithm", "--seed", "--workers",
+        "--queue-capacity", "--batch-size", "--batch-delay-ms", "--requests",
+        "--size", "--no-audit-mix", "--no-verify", "--require-batching",
+        "--metrics-out",
+    },
+    "connect": {
+        "-h", "--help", "-q", "--quiet", "--algorithm", "--seed", "--requests",
+        "--size", "--no-audit-mix", "--no-verify", "--require-batching",
+        "--metrics-out", "--connect-retries",
+    },
+}
+
+
+def _modes():
+    (modes,) = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return modes.choices
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_help_lists_exactly_the_six_subcommands(capsys):
+    assert list(_modes()) == ["serve", "worker", "proxy", "load", "burst", "connect"]
+    assert _exit_code(["--help"]) == 0
+    listed = re.findall(r"^ {4}(\w+) ", capsys.readouterr().out, re.MULTILINE)
+    assert listed == list(FLAGS)
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_each_subcommand_accepts_exactly_the_flags_its_mode_reads(command):
+    parser = _modes()[command]
+    assert {s for a in parser._actions for s in a.option_strings} == FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    # flags of another mode, once silently dropped
+    ["load", "--batch-size", "8"],
+    ["connect", URL, "--workers", "8"],
+    ["proxy", "--upstream", "h:1", "--workers", "3"],
+    ["serve", "--rates", "1"],
+    ["load", "--replicas", "auto"],
+    ["load", "--min-replicas", "2"],
+    # retired spellings, with no alias, not even as a prefix
+    [],
+    ["--workers", "2", "--requests", "64"],
+    ["--http", "--port", "0"],
+    ["serve", "--http"],
+    ["--connect", URL],
+    ["connect", URL, "--connect", URL],
+    ["--loadgen"],
+    ["load", "--sweep"],
+    ["load", "--rate", "50"],
+    ["load", "--sweep-replicas", "1,2"],
+    ["load", "--sweep-rates", "50,100"],
+    ["--chaos-proxy", "--upstream", "h:1"],
+    ["--replica-worker", "--port", "0"],
+])
+def test_a_flag_this_mode_does_not_read_exits_2(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["serve", "--remote", "nohost"], "--remote"),
+    (["serve", "--remote", "h:port"], "--remote"),
+    (["serve", "--remote-config", "{missing}"], "--remote-config"),
+    (["serve", "--remote-config", "{not_json}"], "--remote-config"),
+    (["serve", "--remote-config", "{not_a_list}"], "--remote-config"),
+    (["serve", "--remote-config", "{bad_address}"], "--remote-config"),
+    (["serve", "--heartbeat-timeout", "0.05"], "--heartbeat-timeout"),
+    (["serve", "--processes", "--heartbeat-interval", "0.5",
+      "--heartbeat-timeout", "0.2"], "--heartbeat-timeout"),
+    (["serve", "--remote", "127.0.0.1:1", "--heartbeat-timeout", "0.01"],
+     "--heartbeat-timeout"),
+    (["serve", "--replicas", "0"], "--replicas"),
+    (["serve", "--replicas", "auto", "--min-replicas", "3", "--max-replicas", "2"],
+     "--min-replicas"),
+    (["serve", "--processes", "--remote", "127.0.0.1:1"], "--processes"),
+    (["serve", "--processes", "--remote-config", "{fleet}"], "--processes"),
+    (["load", "--replicas", "1,x"], "--replicas"),
+    (["load", "--replicas", "0"], "--replicas"),
+    (["load", "--rates", "50,"], "--rates"),
+    (["load", "--rates", "nan"], "--rates"),
+    (["load", "--queue-capacity", "0"], "--queue-capacity"),
+    (["burst", "--workers", "0"], "--workers"),
+    (["proxy", "--upstream", "127.0.0.1:1", "--chaos-every", "0"], "--chaos-every"),
+])
+def test_configuration_errors_exit_2_naming_the_flag(argv, flag, tmp_path,
+                                                     monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused configuration must not bind, spawn or dial")
+
+    for name in ("SolveService", "ReplicaSet", "ReplicaSupervisor",
+                 "RemoteReplicaFleet", "FramedIngress", "ChaosTcpProxy",
+                 "run_capacity_sweep", "run_load"):
+        monkeypatch.setattr(cli, name, forbidden)
+    files = {"missing": tmp_path / "missing.json"}
+    for name, document in [("not_json", "{"),
+                           ("not_a_list", json.dumps({"replicas": "h:1"})),
+                           ("bad_address", json.dumps({"replicas": ["h:1", "h"]})),
+                           ("fleet", json.dumps({"replicas": ["127.0.0.1:1"]}))]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(document)
+    assert _exit_code([arg.format(**files) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(rf"(error: argument |^\[repro\.serving\] ){flag}\b",
+                     err.strip().splitlines()[-1])

@@ -1,6 +1,6 @@
 """The open-loop generator and what is built on it: per-phase accounting
 of a rate schedule, the capacity-knee rule, the capacity sweep and the
-``--loadgen`` command that commits its ``capacity_model``."""
+``load`` command that commits its ``capacity_model``."""
 import json
 import os
 import sys
@@ -115,8 +115,8 @@ def test_loadgen_merges_its_capacity_model_into_bench_out(tmp_path):
     out = tmp_path / "BENCH_SERVING.json"
     out.write_text(json.dumps({"experiment": "serving", "cells": [1, 2],
                                "capacity_model": {"stale": True}}))
-    code = serving_main(["--loadgen", "--sweep", "--sweep-replicas", "1",
-                         "--sweep-rates", "10,20", "--duration", "0.2",
+    code = serving_main(["load", "--replicas", "1",
+                         "--rates", "10,20", "--duration", "0.2",
                          "--size", "16", "--workers", "1",
                          "--bench-out", str(out), "--quiet"])
     assert code == 0
@@ -131,7 +131,7 @@ def test_loadgen_merges_its_capacity_model_into_bench_out(tmp_path):
 
 def test_loadgen_without_sweep_measures_one_cell_at_the_serving_pool(tmp_path):
     out = tmp_path / "capacity.json"
-    code = serving_main(["--loadgen", "--rate", "20", "--replicas", "2",
+    code = serving_main(["load", "--rates", "20", "--replicas", "2",
                          "--duration", "0.2", "--size", "16", "--workers", "1",
                          "--bench-out", str(out), "--quiet"])
     assert code == 0
@@ -142,6 +142,11 @@ def test_loadgen_without_sweep_measures_one_cell_at_the_serving_pool(tmp_path):
     assert (cell["replicas"], cell["requests"]) == (2, 4)
 
 
-def test_loadgen_refuses_to_share_the_process_with_a_server(capsys):
-    assert serving_main(["--loadgen", "--http", "--port", "0", "--quiet"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+def test_load_places_the_knee_under_a_500ms_p99_slo_by_default(tmp_path):
+    # the SLO of run_capacity_sweep and of the committed capacity model
+    out = tmp_path / "capacity.json"
+    code = serving_main(["load", "--rates", "20", "--duration", "0.2",
+                         "--size", "16", "--workers", "1",
+                         "--bench-out", str(out), "--quiet"])
+    assert code == 0
+    assert json.loads(out.read_text())["capacity_model"]["slo_p99_ms"] == 500.0

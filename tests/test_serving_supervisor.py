@@ -260,7 +260,7 @@ def test_supervisor_event_log_is_append_only_jsonl(tmp_path):
 
 
 def test_unknown_service_kwarg_is_rejected_before_any_spawn():
-    with pytest.raises(ValueError, match="no --replica-worker flag"):
+    with pytest.raises(ValueError, match="no worker flag"):
         ReplicaSupervisor(1, service_kwargs=dict(bogus=1))
 
 
@@ -270,7 +270,7 @@ def test_every_service_knob_has_a_replica_worker_flag():
     params = inspect.signature(SolveService).parameters
     knobs = {name: p.default for name, p in params.items() if name != "seed"}
     assert set(knobs) == set(_KWARG_FLAGS)
-    build_parser().parse_args(["--replica-worker", *_worker_argv(knobs)])
+    build_parser().parse_args(["worker", *_worker_argv(knobs)])
 
 
 def test_supervisor_context_manager_round_trip():

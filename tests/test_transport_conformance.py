@@ -795,7 +795,7 @@ def test_replica_set_survives_scale_up_mid_load(transport):
 
 
 def test_cli_connect_load_generator_verifies_over_the_wire(transport, tmp_path):
-    """``repro-serve --connect URL`` is the CI smoke's wire load-gen: it
+    """``repro-serve connect URL`` is the CI smoke's wire load-gen: it
     must verify responses against direct solves and persist the *server's*
     metrics document."""
     from repro.serving.__main__ import main as serving_main
@@ -803,7 +803,7 @@ def test_cli_connect_load_generator_verifies_over_the_wire(transport, tmp_path):
     metrics_path = tmp_path / "wire" / "TRANSPORT_METRICS.json"
     with served_service(transport, workers=2) as (url, _backend):
         exit_code = serving_main([
-            "--connect", url, "--requests", "10", "--size", "48",
+            "connect", url, "--requests", "10", "--size", "48",
             "--metrics-out", str(metrics_path), "--quiet",
         ])
     assert exit_code == 0
