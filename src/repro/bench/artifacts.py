@@ -158,21 +158,35 @@ _VOLATILE_KEYS = frozenset(
         "p50_ms",
         "p95_ms",
         "p99_ms",
-        "mean_occupancy",
     }
 )
+
+#: How a served run's requests happened to coalesce: outcomes that vary
+#: from run to run.  A batch is charged as one solve of its requests'
+#: union, so the charged totals of a row that carries these follow the
+#: batching too and are outcomes as well, not facts to check.
+_BATCH_OUTCOME_KEYS = frozenset({"batches", "multi_batches", "mean_occupancy", "max_occupancy"})
 
 
 def _row_identity(row: Mapping[str, object]) -> tuple:
     """The stable identity of a result row: every column that is neither a
-    charged metric, a derived ratio (contains ``/``), nor a host timing."""
+    charged metric, a derived ratio (contains ``/``), a host timing nor a
+    batch outcome."""
     return tuple(
         sorted(
             (k, str(v))
             for k, v in row.items()
-            if k not in METRIC_KEYS and k not in _VOLATILE_KEYS and "/" not in k
+            if k not in METRIC_KEYS
+            and k not in _VOLATILE_KEYS
+            and k not in _BATCH_OUTCOME_KEYS
+            and "/" not in k
         )
     )
+
+
+def _batched(row: Mapping[str, object]) -> bool:
+    """Whether the row's charged totals depend on its run's batching."""
+    return not _BATCH_OUTCOME_KEYS.isdisjoint(row)
 
 
 def compare_charged_totals(
@@ -185,7 +199,10 @@ def compare_charged_totals(
     matched on their identity columns (algorithm, n, workload, ...), so a
     partial fresh sweep — e.g. the CI perf-smoke's single size — checks
     against the matching slice of the committed full sweep.  Cells whose
-    config fingerprints match additionally pin the aggregate totals.
+    config fingerprints match additionally pin the aggregate totals.  A
+    served row must find its counterpart (same cell, same requests
+    completed and shed), but its charged totals follow the run's batching
+    and are not compared.
     """
     if fresh["experiment"] != committed["experiment"]:
         return [
@@ -217,6 +234,8 @@ def compare_charged_totals(
             )
         for row, committed_row in zip(rows, committed_rows[identity]):
             compared += 1
+            if _batched(row) or _batched(committed_row):
+                continue
             for key in METRIC_KEYS:
                 if key in row or key in committed_row:
                     if row.get(key) != committed_row.get(key):
@@ -234,7 +253,7 @@ def compare_charged_totals(
     }
     for cell in fresh["cells"]:  # type: ignore[union-attr]
         match = committed_cells.get(cell["fingerprint"])
-        if match is None:
+        if match is None or any(_batched(r) for r in [*cell["rows"], *match["rows"]]):
             continue
         for key in METRIC_KEYS:
             fresh_total = sum(int(r.get(key, 0) or 0) for r in cell["rows"])

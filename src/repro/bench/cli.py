@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .config import SweepConfig
 from .registry import experiment_ids, get_experiment
@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-against", default=None, metavar="DIR",
         help="compare the run's charged time/work/charged_work against the "
              "committed BENCH_E*.json artifacts in DIR; any drift fails "
-             "the run (exit code 3) — perf changes must not move totals",
+             "the run (exit code 3) — perf changes must not move totals. "
+             "Without --sizes, each sweep runs at the sizes its committed "
+             "artifact holds",
     )
     parser.add_argument(
         "--run-name", default=None, metavar="NAME",
@@ -159,10 +161,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         audit = False if (args.no_audit and spec.supports_audit) else None
         if args.no_audit and not spec.supports_audit and echo:
             echo(f"[repro.bench] note: {spec.id} has no audit toggle; running as usual")
+        sizes = tuple(args.sizes) if args.sizes and spec.size_arg else None
+        if sizes is None and spec.size_arg and args.check_against is not None:
+            # check each sweep where its committed artifact has rows
+            sizes = _committed_sizes(args.check_against, spec.id)
         configs.append(
             SweepConfig(
                 experiment=spec.id,
-                sizes=tuple(args.sizes) if args.sizes and spec.size_arg else None,
+                sizes=sizes,
                 workload=args.workload if spec.supports_workload else None,
                 seed=args.seed,
                 audit=audit,
@@ -344,6 +350,22 @@ def _emit_profile(profile, args, ids: List[str], echo) -> Optional[str]:
         )
         fh.write("\n")
     return path
+
+
+def _committed_sizes(directory: str, experiment_id: str) -> Optional[Tuple[int, ...]]:
+    """The sweep sizes of the committed artifact's cells, in order (``None``
+    when there is no readable artifact or it ran the default sweep)."""
+    from .artifacts import artifact_filename, load_artifact
+
+    path = os.path.join(directory, artifact_filename(experiment_id))
+    try:
+        cells = load_artifact(path)["cells"]
+    except (OSError, ValueError):
+        return None  # the check itself reports the missing or broken artifact
+    sizes: List[int] = []
+    for cell in cells:
+        sizes += [int(s) for s in cell["config"].get("sizes") or () if int(s) not in sizes]
+    return tuple(sizes) or None
 
 
 def _check_against(results, directory: str, echo) -> List[str]:

@@ -29,6 +29,13 @@ contracts each cycle to ~``n / log n`` rulers, min-labels the contracted
 permutation by pointer doubling, and expands — O(n) host operations
 instead of the O(n log n) full-array doubling it replaces.
 
+:func:`forest_levels` walks the trees of a functional graph outward from
+their cycle roots, one level at a time, and :func:`subtree_sizes` and
+:func:`preorder` read the tree shape off that walk: the host side of tree
+labeling's level path, which replaces the Euler tour and its list ranking
+on the host (the caller still charges the tour).  Each takes O(n) host
+operations plus O(1) NumPy calls per level.
+
 :func:`residual_forest_classes` does the same for the residual forest of
 tree labeling (Lemma 4.2): it classes every residual node outward from
 the labelled nodes the residual trees hang from, one depth level at a
@@ -42,7 +49,7 @@ Under ``wall_profiling`` every kernel call is attributed to a
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -266,6 +273,165 @@ def _cycle_min_labels(successor: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# tree levels (tree labeling's level path)
+# ----------------------------------------------------------------------
+class ForestLevels(NamedTuple):
+    """The trees of a functional graph, walked outward from their roots.
+
+    Every array is indexed by *position*.  Positions ``bounds[L]`` to
+    ``bounds[L + 1] - 1`` hold the nodes at level ``L``: level 0 the roots
+    (the cycle nodes with tree children, by index), level ``L >= 1`` the
+    tree nodes at distance ``L`` from their cycle.  Within a level, the
+    children of one parent are contiguous, by index, and follow their
+    parents' order.
+    """
+
+    #: node at each position
+    nodes: np.ndarray
+    #: position of each node's parent (a root's own position)
+    parent: np.ndarray
+    #: root index (0 .. number of roots - 1) of each node's tree
+    root: np.ndarray
+    #: level boundaries, one more than the number of levels
+    bounds: List[int]
+
+
+def forest_levels(
+    function: np.ndarray, on_cycle: np.ndarray, order: np.ndarray, max_levels: int
+) -> Optional[ForestLevels]:
+    """The :class:`ForestLevels` of the trees hanging off the cycles.
+
+    ``order`` lists the nodes by ``(f(y), y)``, so each node's in-arcs
+    are contiguous in it; the walk gathers each level's children from
+    there.  Returns ``None`` as soon as a level deeper than ``max_levels``
+    appears, so that a deep forest costs at most ``max_levels`` levels'
+    NumPy calls before the caller takes another path.  Requires at least
+    one tree node, and raises :class:`ValueError` when some unmarked node
+    never drains into a marked one.  Profiled runs attribute it to the
+    ``[kernel] tree_levels`` row.
+    """
+    with kernel_timing("tree_levels"):
+        return _forest_levels(function, on_cycle, order, max_levels)
+
+
+def _forest_levels(
+    f: np.ndarray, on_cycle: np.ndarray, order: np.ndarray, max_levels: int
+) -> Optional[ForestLevels]:
+    if max_levels < 1:
+        return None
+    n = len(f)
+    children = order[~on_cycle[order]]
+    heads = f[children]
+    count = np.bincount(heads, minlength=n)
+    start = np.cumsum(count)
+    start -= count
+    first = on_cycle[heads]
+    level1 = children[first]
+    if len(level1) == 0:
+        raise ValueError(_UNMARKED_CYCLE)
+    root_of_first = heads[first]
+    is_new = np.empty(len(root_of_first), dtype=bool)
+    is_new[0] = True
+    np.not_equal(root_of_first[1:], root_of_first[:-1], out=is_new[1:])
+    roots = root_of_first[is_new]
+    r, c = len(roots), len(children)
+    total = r + c
+    nodes = np.empty(total, dtype=np.int64)
+    parent = np.empty(total, dtype=np.int64)
+    root = np.empty(total, dtype=np.int64)
+    nodes[:r] = roots
+    parent[:r] = root[:r] = np.arange(r, dtype=np.int64)
+    hi = r + len(level1)
+    nodes[r:hi] = level1
+    parent[r:hi] = root[r:hi] = np.cumsum(is_new) - 1
+    bounds = [0, r, hi]
+    position = np.arange(total, dtype=np.int64)
+    frontier = level1
+    lo = r
+    # Each level: the children of the frontier, parent by parent, are the
+    # runs children[start[p] : start[p] + count[p]].
+    while True:
+        per = count[frontier]
+        ends = per.cumsum()
+        width = int(ends[-1])
+        if width == 0:
+            break
+        if len(bounds) > max_levels + 1:
+            return None
+        ends -= start[frontier]
+        slot = np.repeat(per - ends, per)
+        slot += position[:width]
+        frontier = nodes[hi:hi + width] = children[slot]
+        owner = parent[hi:hi + width] = np.repeat(position[lo:hi], per)
+        root[hi:hi + width] = root[owner]
+        lo, hi = hi, hi + width
+        bounds.append(hi)
+    if hi != total:
+        raise ValueError(_UNMARKED_CYCLE)
+    return ForestLevels(nodes, parent, root, bounds)
+
+
+_UNMARKED_CYCLE = "on_cycle leaves a cycle unmarked: some tree nodes drain into no marked node"
+
+
+def subtree_sizes(levels: ForestLevels) -> np.ndarray:
+    """Nodes in the subtree at each position, itself included, one level
+    at a time from the deepest."""
+    with kernel_timing("tree_levels"):
+        size = np.ones(len(levels.nodes), dtype=np.int64)
+        bounds = levels.bounds
+        for lo, hi in zip(bounds[-2:0:-1], bounds[:1:-1]):
+            # a copy: values that alias the target take NumPy's slow path
+            np.add.at(size, levels.parent[lo:hi], size[lo:hi].copy())
+        return size
+
+
+def preorder(levels: ForestLevels, size: np.ndarray) -> np.ndarray:
+    """Preorder index of each position within its tree, children by index.
+
+    A root's children start at 0; a node comes ``1 +`` the sizes of its
+    earlier siblings after its parent.  Roots read ``-1``.
+    """
+    with kernel_timing("tree_levels"):
+        parent = levels.parent
+        # exclusive prefix of sizes, less its value at the first sibling
+        before = np.cumsum(size)
+        before -= size
+        bounds = levels.bounds
+        first = np.empty(len(parent), dtype=bool)
+        np.not_equal(parent[1:], parent[:-1], out=first[1:])
+        first[: bounds[1] + 1] = True
+        starts = np.flatnonzero(first)
+        pre = before - np.repeat(before[starts], np.diff(starts, append=len(parent)))
+        pre += 1
+        pre[: bounds[1]] = -1
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pre[lo:hi] += pre[parent[lo:hi]]
+        return pre
+
+
+def residual_depths(levels: ForestLevels, unmarked: np.ndarray) -> np.ndarray:
+    """Residual nodes on each tree position's path to its root.
+
+    ``unmarked`` flags the tree positions (from ``bounds[1]`` on).  A node
+    is residual iff it or an ancestor below the root is unmarked; its
+    residual depth counts the residual nodes from it up to the first node
+    that is not (itself included), and is 0 off the residual forest.
+    Returns one entry per tree position.
+    """
+    with kernel_timing("tree_levels"):
+        bounds, parent = levels.bounds, levels.parent
+        depth = np.zeros(len(parent), dtype=np.int64)
+        depth[bounds[1]:] = unmarked
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            up = depth[parent[lo:hi]]
+            here = depth[lo:hi]
+            np.maximum(here, up > 0, out=here)
+            here += up
+        return depth[bounds[1]:]
+
+
+# ----------------------------------------------------------------------
 # residual-forest labeling (tree labeling, Lemma 4.2)
 # ----------------------------------------------------------------------
 def residual_forest_classes(
@@ -276,6 +442,7 @@ def residual_forest_classes(
     level: np.ndarray,
     *,
     last: bool = False,
+    depth: Optional[np.ndarray] = None,
 ) -> "tuple[np.ndarray, int]":
     """Lemma 4.2 class of every residual node, and the forest's depth.
 
@@ -305,12 +472,14 @@ def residual_forest_classes(
     residual trees that hang from inherited tree nodes at different
     levels share classes.  Host work is O(n) plus O(1) NumPy calls per
     level, so the caller keeps forests that are deep relative to ``n``
-    on the doubling loop.  Charges nothing: the caller charges the
-    closed-form figures of the loop this replaces.
+    on the doubling loop.  A caller that knows every node's residual
+    depth already (0 on absorbers, as :func:`residual_depths` gives it)
+    passes it as ``depth`` and skips the first pass.  Charges nothing:
+    the caller charges the closed-form figures of the loop this replaces.
     """
     with kernel_timing("residual_forest"):
         return _residual_forest_classes(
-            function, labels, absorber_labels, residual, level, last
+            function, labels, absorber_labels, residual, level, last, depth
         )
 
 
@@ -329,18 +498,20 @@ def _residual_forest_classes(
     residual: np.ndarray,
     level: np.ndarray,
     last: bool,
+    depth: Optional[np.ndarray],
 ) -> "tuple[np.ndarray, int]":
     n = len(function)
     # Both passes bucket all n nodes, the absorbers into bucket 0, so every
     # large array here has the solve's common length n: arrays of the
     # residual count instead left holes the allocator kept across solves.
-    by_level, level_bounds = _bucket(np.where(residual, level, 0))
-    depth = np.zeros(n, dtype=np.int64)
-    for lo, hi in zip(level_bounds[1:], level_bounds[2:]):
-        if hi > lo:
-            nodes = by_level[lo:hi]
-            depth[nodes] = depth[function[nodes]] + 1
-    del by_level
+    if depth is None:
+        by_level, level_bounds = _bucket(np.where(residual, level, 0))
+        depth = np.zeros(n, dtype=np.int64)
+        for lo, hi in zip(level_bounds[1:], level_bounds[2:]):
+            if hi > lo:
+                nodes = by_level[lo:hi]
+                depth[nodes] = depth[function[nodes]] + 1
+        del by_level
     by_depth, depth_bounds = _bucket(depth)
     del depth
 

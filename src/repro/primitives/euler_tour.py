@@ -30,21 +30,32 @@ arc followed by the buddies of its in-arcs, by index.  So
 :func:`functional_forest_structure` (tree levels, from the same order)
 write the successor in closed form and charge the generic build's figures
 without running its sort.
+
+Which path runs when: cycle detection (step 1) always builds its doubled
+structure.  Tree labeling (step 3) builds :func:`functional_forest_structure`
+and runs :func:`vertex_levels_from_tree` only for forests too deep for its
+level path; otherwise it walks the trees level by level
+(:mod:`repro.pram.kernels`) and charges exactly what those calls charge
+from the trees' shape: :func:`forest_tour` reads the circuit sizes and the
+list ranking's ruler positions off the levels, subtree sizes and preorder
+indices, and :func:`charge_forest_structure` and
+:func:`charge_vertex_levels` charge them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..pram.kernels import cycle_min_labels, sort_indices
+from ..pram.kernels import ForestLevels, cycle_min_labels, sort_indices
 from ..pram.machine import Machine
+from ..pram.metrics import CapturedCost
 from ..types import as_int_array
 from .integer_sort import SortCostModel, charge_pair_sort, sort_pairs
-from .list_ranking import optimal_rank
-from .prefix_sums import prefix_sums
+from .list_ranking import charge_optimal_rank, default_ruler_spacing, optimal_rank
+from .prefix_sums import charge_prefix_sums, charge_segmented_prefix_sums, prefix_sums
 
 
 def _ensure_machine(machine: Optional[Machine]) -> Machine:
@@ -244,12 +255,18 @@ def functional_euler_structure(
             order = in_arc_order(f)
         m.tick(n_arcs)
         if n_arcs:
-            charge_pair_sort(m, n_arcs, max(len(f), n_arcs) + 1, cost_model)
-            # group bounds (two rounds), next_out and successor (one round each)
-            m.tick(3 * n_arcs, rounds=4)
+            _charge_build(m, len(f), n_arcs, cost_model)
             successor = _doubled_successor(f, order, keep)
             circuit_id = _circuit_ids(successor, m)
     return order, successor, circuit_id
+
+
+def _charge_build(machine: Machine, n_nodes: int, n_arcs: int, cost_model: SortCostModel) -> None:
+    """What :func:`build_euler_structure` charges for ``n_arcs >= 1`` arcs
+    between its first tick and its circuit ids."""
+    charge_pair_sort(machine, n_arcs, max(n_nodes, n_arcs) + 1, cost_model)
+    # group bounds (two rounds), next_out and successor (one round each)
+    machine.tick(3 * n_arcs, rounds=4)
 
 
 def _circuit_ids(successor: np.ndarray, machine: Machine) -> np.ndarray:
@@ -272,7 +289,14 @@ def _circuit_ids(successor: np.ndarray, machine: Machine) -> np.ndarray:
     """
     n = len(successor)
     label = cycle_min_labels(successor)
-    performed = _reference_doubling_rounds(label, n)
+    sizes = np.bincount(label) if n else np.zeros(0, dtype=np.int64)
+    _charge_circuit_ids(machine, n, _reference_doubling_rounds(sizes[sizes > 0], n))
+    return label
+
+
+def _charge_circuit_ids(machine: Machine, n: int, performed: int) -> None:
+    """The adapter charge of circuit labeling on ``n`` arcs whose reference
+    doubling loop runs ``performed`` rounds."""
     machine.counter.charge_adapter(
         incurred_work=n * performed,
         incurred_rounds=performed,
@@ -280,11 +304,11 @@ def _circuit_ids(successor: np.ndarray, machine: Machine) -> np.ndarray:
         charged_rounds=max(1, int(np.ceil(np.log2(max(2, n))))),
         label="circuit_ids",
     )
-    return label
 
 
-def _reference_doubling_rounds(label: np.ndarray, n: int) -> int:
-    """Rounds the reference doubling loop performs, from the circuit sizes.
+def _reference_doubling_rounds(sizes: np.ndarray, n: int) -> int:
+    """Rounds the reference doubling loop performs on ``n`` arcs whose
+    circuits have ``sizes`` arcs each.
 
     :func:`_circuit_ids_reference` exits early only when its label pass
     has stabilised (first round ``t`` with window ``2^(t-1) >= L`` for
@@ -298,8 +322,6 @@ def _reference_doubling_rounds(label: np.ndarray, n: int) -> int:
     """
     if n == 0:
         return 1
-    counts = np.bincount(label)
-    sizes = counts[counts > 0]
     if bool(np.all((sizes & (sizes - 1)) == 0)):
         return int(sizes.max()).bit_length()
     return int(np.ceil(np.log2(max(2, n)))) + 1
@@ -330,13 +352,7 @@ def _circuit_ids_reference(successor: np.ndarray, machine: Machine) -> np.ndarra
         if labels_stable and np.array_equal(new_ptr, ptr):
             break
         label, ptr = new_label, new_ptr
-    machine.counter.charge_adapter(
-        incurred_work=n * performed,
-        incurred_rounds=performed,
-        charged_work=2 * n,
-        charged_rounds=max(1, int(np.ceil(np.log2(max(2, n))))),
-        label="circuit_ids",
-    )
+    _charge_circuit_ids(machine, n, performed)
     return label
 
 
@@ -611,6 +627,110 @@ def _levels_from_tour(
     level[structure.head[down]] = depth_at_arc[down]
     level[root_mask] = 0
     return level
+
+
+class ForestTour(NamedTuple):
+    """What the Euler tour of a functional graph's trees charges, read off
+    the trees' shape (see :func:`forest_tour`)."""
+
+    #: nodes of the graph
+    n: int
+    #: ``bounds[i]`` to ``bounds[i + 1] - 1`` are the tour positions of
+    #: root ``i``'s circuit, laid end to end (twice its tree's node count)
+    bounds: np.ndarray
+    #: positions of :func:`optimal_rank`'s rulers (unsorted, with repeats)
+    ruler_slots: np.ndarray
+
+    @property
+    def num_arcs(self) -> int:
+        return int(self.bounds[-1])
+
+
+def forest_tour(
+    n: int, levels: ForestLevels, size: np.ndarray, pre: np.ndarray, tree_rank: np.ndarray
+) -> ForestTour:
+    """The :class:`ForestTour` of the trees ``levels`` walks, without the tour.
+
+    ``size`` and ``pre`` are each position's subtree size and preorder
+    index (:func:`~repro.pram.kernels.subtree_sizes`,
+    :func:`~repro.pram.kernels.preorder`), and ``tree_rank`` the rank of
+    each tree position's node among the tree nodes, by index.
+
+    The tour of :func:`functional_forest_structure` starts each circuit at
+    the arc into the root's first child and visits children by index, so
+    the tree node at depth ``d`` with preorder index ``p`` is entered at
+    position ``2p - d + 1`` of its circuit and left ``2 * size - 1``
+    positions later.  Its up arc is arc ``tree_rank`` and its down arc arc
+    ``c + tree_rank`` for ``c`` tree nodes; :func:`tour_positions` breaks
+    each circuit before its start, whose head and tail are rulers too.
+    """
+    r = levels.bounds[1]
+    bounds = np.zeros(r + 1, dtype=np.int64)
+    np.cumsum(2 * (size[:r] - 1), out=bounds[1:])
+    c = int(bounds[-1]) // 2
+
+    def entered(at: np.ndarray) -> np.ndarray:
+        depth = np.searchsorted(levels.bounds, at, side="right") - 1
+        return bounds[levels.root[at]] + 2 * pre[at] - depth + 1
+
+    ruler_slots = np.zeros(0, dtype=np.int64)
+    if 2 * c > 4:  # optimal_rank's Wyllie branch needs no rulers
+        spacing = default_ruler_spacing(2 * c)
+        up = r + np.flatnonzero(tree_rank % spacing == 0)
+        down = r + np.flatnonzero((tree_rank + c) % spacing == 0)
+        ruler_slots = np.concatenate(
+            (bounds[:-1], bounds[1:] - 1, entered(up) + 2 * size[up] - 1, entered(down))
+        )
+    return ForestTour(n, bounds, ruler_slots)
+
+
+def charge_forest_structure(
+    tour: ForestTour, *, machine: Machine, cost_model: SortCostModel = SortCostModel.CHARGED
+) -> None:
+    """Charge what :func:`functional_forest_structure` charges, root lookup
+    included, for the trees of ``tour``, without building anything.
+
+    Its one data-dependent figure, the circuit labeling's reference
+    rounds, follows from the circuit sizes.
+    """
+    n_arcs = tour.num_arcs
+    with machine.span("euler_structure"):
+        machine.tick(n_arcs)
+        _charge_build(machine, tour.n, n_arcs, cost_model)
+        _charge_circuit_ids(machine, n_arcs, _reference_doubling_rounds(np.diff(tour.bounds), n_arcs))
+    with machine.span("forest_roots"):
+        machine.tick(n_arcs, rounds=2)
+
+
+def charge_vertex_levels(
+    tour: ForestTour, *, machine: Machine, layout: Optional[CapturedCost] = None
+) -> CapturedCost:
+    """Charge what :func:`vertex_levels_from_tree` charges on the trees of
+    ``tour`` given their structure, without the tour.
+
+    Returns the capture of the weight-independent layout charges; passed
+    back as ``layout``, it is replayed as :func:`_tour_layout` replays its
+    own for a second pass over the same structure.
+    """
+    n_arcs = tour.num_arcs
+    counter = machine.counter
+    with machine.span("vertex_levels"):
+        machine.tick(n_arcs)
+        if layout is not None and layout.span_path == "/".join(counter._span_stack):
+            counter.replay(layout)
+        else:
+            with counter.capture() as layout:
+                machine.tick(n_arcs, rounds=2)
+                with machine.span("tour_positions"):
+                    machine.tick(n_arcs)
+                    charge_optimal_rank(machine, n_arcs, tour.bounds, tour.ruler_slots)
+                    machine.tick(n_arcs, rounds=2)
+                machine.tick(n_arcs, rounds=2)
+                charge_prefix_sums(machine, n_arcs)
+        machine.tick(n_arcs, rounds=2)
+        charge_segmented_prefix_sums(machine, n_arcs)
+        machine.tick(n_arcs)
+    return layout
 
 
 def mark_cycle_arcs(structure: EulerStructure, *, machine: Optional[Machine] = None) -> np.ndarray:

@@ -22,6 +22,16 @@ Both operate on *successor lists*: ``succ[i]`` is the next node after ``i``
 and list tails satisfy ``succ[t] == t``.  Ranks count the number of hops to
 the tail (the tail has rank 0).  Circular lists are ranked by
 :func:`rank_cycle`, which breaks each cycle at a designated head.
+
+Which path runs when: a ruling-set ranking charges the same for any lists
+with the same ruler layout, so :func:`charge_optimal_rank` charges it from
+where the rulers sit along the lists, without ranking anything.
+:func:`rank_cycle` ranks all ``n`` nodes when every node lies on a cycle
+(or ``n <= 4``); when some nodes sit off the cycles (self-loops without a
+head, as step 2 of the solver passes its tree nodes) it ranks only the
+cycle nodes on the host and charges the ``n``-node ranking through
+:func:`charge_optimal_rank`.  Step 3's tree levels charge the Euler tour's
+ranking the same way (:mod:`repro.primitives.euler_tour`).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..pram.machine import Machine
+from ..pram.metrics import CostCounter
 from ..types import as_int_array
 from .pointer_jumping import frontier_jump
 
@@ -203,6 +214,66 @@ def optimal_rank(
     return _ruling_set_rank(succ, m, ruler_spacing)[0]
 
 
+def default_ruler_spacing(n: int) -> int:
+    """The ruler spacing :func:`optimal_rank` uses on ``n > 1`` nodes."""
+    return max(2, int(np.ceil(np.log2(n))))
+
+
+def _doubling_ticks(longest: int) -> int:
+    """Rounds frontier doubling ticks on lists whose longest distance to a
+    tail is ``longest``: ``ceil(log2 longest)`` doubling rounds, plus the
+    round that finds the frontier empty."""
+    return max(0, longest - 1).bit_length() + 1
+
+
+def charge_optimal_rank(
+    machine: Machine,
+    n: int,
+    bounds: np.ndarray,
+    ruler_slots: np.ndarray,
+    singletons: int = 0,
+) -> None:
+    """Charge what :func:`optimal_rank` charges on ``n >= 1`` nodes,
+    from where its rulers sit, without ranking anything.
+
+    The lists are laid end to end, head first: list ``i`` fills slots
+    ``bounds[i]`` to ``bounds[i + 1] - 1``.  Lists of one node may be
+    left out of the layout; ``singletons`` counts them.  ``ruler_slots``
+    holds the slots of the rulers on the laid-out lists, in any order and
+    with repeats: each list's head and tail, and every node whose index
+    is a multiple of :func:`default_ruler_spacing` of ``n``.
+
+    Two figures depend on the lists.  The sublist walk runs as many rounds
+    as the widest gap between consecutive rulers (a list's tail is a
+    ruler and the next list's head is the next slot, so the gaps need no
+    list boundaries), and its work is always ``n``: every node is stepped
+    onto once, a tail by its own walker.  The contracted list's doubling
+    runs :func:`_doubling_ticks` of the most rulers on one list, minus
+    one, over all the rulers.  Lists of at most ``_WYLLIE_MAX_N`` nodes
+    in all take :func:`wyllie_rank`, whose rounds follow from the longest
+    list.
+    """
+    if n <= _WYLLIE_MAX_N:
+        longest = int(np.diff(bounds).max()) if len(bounds) > 1 else 1
+        with machine.span("wyllie_rank"):
+            machine.tick(n)
+            machine.charge_rounds(n, _doubling_ticks(longest - 1))
+        return
+    slots = ruler_slots[np.argsort(ruler_slots, kind="stable")]
+    distinct = np.empty(len(slots), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(slots[1:], slots[:-1], out=distinct[1:])
+    slots = slots[distinct]
+    per_list = np.diff(np.searchsorted(slots, bounds))
+    widest = int(np.diff(slots).max()) if len(slots) > 1 else 1
+    rulers = len(slots) + singletons
+    with machine.span("optimal_rank"):
+        machine.tick(n)
+        machine.tick(n, rounds=max(1, widest))
+        machine.charge_rounds(rulers, _doubling_ticks(int(per_list.max(initial=1)) - 1))
+        machine.tick(n)
+
+
 def _ruling_set_rank(
     succ: np.ndarray,
     m: Machine,
@@ -218,7 +289,7 @@ def _ruling_set_rank(
     ``tail`` is ``None``.
     """
     n = len(succ)
-    spacing = ruler_spacing if ruler_spacing is not None else max(2, int(np.ceil(np.log2(n))))
+    spacing = ruler_spacing if ruler_spacing is not None else default_ruler_spacing(n)
 
     with m.span("optimal_rank"):
         idx = np.arange(n, dtype=np.int64)
@@ -284,6 +355,7 @@ def rank_cycle(
     ``successor`` must define a permutation on the participating nodes
     (every node lies on a cycle); ``heads`` is a boolean mask with exactly
     one head per cycle.  The head gets rank 0, its successor rank 1, etc.
+    A self-loop without a head sits off every cycle and gets rank 0.
 
     Implemented by breaking the cycle just before its head (the head's
     predecessor becomes a tail) and ranking the resulting open lists; the
@@ -292,7 +364,9 @@ def rank_cycle(
     the whole cycle through the cycle's tail.  The model finds every node's
     tail by pointer jumping; the host reads it off the ruling-set ranking's
     contracted list instead and charges the jumping in closed form, at
-    exactly what :func:`_tail_of` charges.
+    exactly what :func:`_tail_of` charges.  When nodes sit off the cycles
+    (and ``n > _WYLLIE_MAX_N``), the host ranks only the cycle nodes
+    (:func:`_rank_cycle_nodes`), at the ``n``-node ranking's charges.
     """
     m = _ensure_machine(machine)
     succ = as_int_array(successor, "successor")
@@ -306,28 +380,83 @@ def rank_cycle(
 
     with m.span("rank_cycle"):
         m.tick(n)
-        # Break the edge entering each head: nodes whose successor is a head
-        # become tails.
-        broken = np.where(head_mask[succ], np.arange(n, dtype=np.int64), succ)
-        if n <= _WYLLIE_MAX_N:
-            to_tail = wyllie_rank(broken, machine=m)
-            m.tick(n)
-            tail_of = _tail_of(broken, m)
-        else:
-            to_tail, tail_of = _ruling_set_rank(broken, m, tails=True)
-            m.tick(n)
-            # _tail_of's frontier_jump ticks n per round: ceil(log2 D)
-            # doubling rounds, D >= 2 the longest distance to a tail, plus
-            # the round that finds the frontier empty (one round if D <= 1).
-            m.charge_rounds(n, max(0, int(to_tail.max()) - 1).bit_length() + 1)
-        # At a head, the distance to the tail of its broken list equals
-        # (cycle length - 1).  Broadcast that value to the whole cycle via
-        # the (unique per cycle) tail node, then convert distance-to-tail
-        # into rank-from-head.
-        heads_idx = np.flatnonzero(head_mask)
-        per_tail = np.zeros(n, dtype=np.int64)
-        per_tail[tail_of[heads_idx]] = to_tail[heads_idx]
-        rank = per_tail[tail_of] - to_tail
+        if n > _WYLLIE_MAX_N:
+            on_cycle = (succ != np.arange(n)) | head_mask
+            if not on_cycle.all() and on_cycle.any():
+                return _rank_cycle_nodes(succ, head_mask, np.flatnonzero(on_cycle), m)
+        return _rank_every_node(succ, head_mask, m)
+
+
+def _rank_every_node(succ: np.ndarray, head_mask: np.ndarray, m: Machine) -> np.ndarray:
+    """:func:`rank_cycle` over all ``n`` nodes (after its first tick): the
+    reference of :func:`_rank_cycle_nodes`."""
+    # Break the edge entering each head: nodes whose successor is a head
+    # become tails.
+    broken = np.where(head_mask[succ], np.arange(len(succ), dtype=np.int64), succ)
+    to_tail, tail_of = _ranks_to_tail(broken, m)
+    return _ranks_from_heads(to_tail, tail_of, np.flatnonzero(head_mask))
+
+
+def _ranks_to_tail(broken: np.ndarray, m: Machine) -> Tuple[np.ndarray, np.ndarray]:
+    """``(to_tail, tail_of)`` of the broken cycles, at :func:`rank_cycle`'s
+    charges for them."""
+    n = len(broken)
+    if n <= _WYLLIE_MAX_N:
+        to_tail = wyllie_rank(broken, machine=m)
+        m.tick(n)
+        return to_tail, _tail_of(broken, m)
+    to_tail, tail_of = _ruling_set_rank(broken, m, tails=True)
+    m.tick(n)
+    # _tail_of's frontier_jump ticks n per round until no pointer moves.
+    m.charge_rounds(n, _doubling_ticks(int(to_tail.max())))
+    return to_tail, tail_of
+
+
+def _ranks_from_heads(to_tail: np.ndarray, tail_of: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Rank from the head: at a head, the distance to the tail of its
+    broken list is the cycle length - 1, broadcast to the whole cycle
+    through its (unique) tail."""
+    per_tail = np.zeros(len(to_tail), dtype=np.int64)
+    per_tail[tail_of[heads]] = to_tail[heads]
+    return per_tail[tail_of] - to_tail
+
+
+def _rank_cycle_nodes(
+    succ: np.ndarray, head_mask: np.ndarray, nodes: np.ndarray, m: Machine
+) -> np.ndarray:
+    """:func:`rank_cycle` of ``n`` nodes of which only ``nodes`` lie on
+    cycles, the rest being self-loops without a head.
+
+    The host ranks the cycle nodes alone, on a scratch machine, then
+    charges the ``n``-node ranking: every off-cycle node is a one-node
+    list, and the rulers on the broken cycles (heads, tails and the nodes
+    whose index is a multiple of the spacing) sit at their rank from the
+    head, with the cycles laid out in head order.
+    """
+    n, p = len(succ), len(nodes)
+    local = np.empty(n, dtype=np.int64)
+    local[nodes] = np.arange(p, dtype=np.int64)
+    cycle_succ = local[succ[nodes]]
+    cycle_heads = head_mask[nodes]
+    broken = np.where(cycle_heads[cycle_succ], np.arange(p, dtype=np.int64), cycle_succ)
+    scratch = Machine(m.model, counter=CostCounter(), audit=False)
+    to_tail, tail_of = _ranks_to_tail(broken, scratch)
+    heads = np.flatnonzero(cycle_heads)
+    cycle_rank = _ranks_from_heads(to_tail, tail_of, heads)
+
+    length = to_tail[heads] + 1
+    bounds = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(length, out=bounds[1:])
+    cycle_at_tail = np.empty(p, dtype=np.int64)
+    cycle_at_tail[tail_of[heads]] = np.arange(len(heads), dtype=np.int64)
+    spaced = np.flatnonzero(nodes % default_ruler_spacing(n) == 0)
+    slots = bounds[cycle_at_tail[tail_of[spaced]]] + cycle_rank[spaced]
+    ruler_slots = np.concatenate((bounds[:-1], bounds[1:] - 1, slots))
+    charge_optimal_rank(m, n, bounds, ruler_slots, singletons=n - p)
+    m.tick(n)
+    m.charge_rounds(n, _doubling_ticks(int(length.max()) - 1))
+    rank = np.zeros(n, dtype=np.int64)
+    rank[nodes] = cycle_rank
     return rank
 
 

@@ -58,6 +58,22 @@ def prefix_sums(values, *, machine: Optional[Machine] = None, inclusive: bool = 
     return exclusive
 
 
+def charge_prefix_sums(machine: Machine, n: int) -> None:
+    """Charge what :func:`prefix_sums` charges on ``n >= 1`` values,
+    without scanning anything."""
+    with machine.span("prefix_sums"):
+        machine.charge_tree(n)
+        machine.charge_tree(n)
+
+
+def charge_segmented_prefix_sums(machine: Machine, n: int) -> None:
+    """Charge what :func:`segmented_prefix_sums` charges on ``n >= 1``
+    values, without scanning anything."""
+    with machine.span("segmented_prefix_sums"):
+        machine.charge_tree(n)
+        machine.tick(n)
+
+
 def reduce_sum(values, *, machine: Optional[Machine] = None) -> int:
     """Tree reduction (sum) in ``O(log n)`` rounds and ``O(n)`` work."""
     m = _ensure_machine(machine)

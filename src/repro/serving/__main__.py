@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--auth-secret", default=secret, metavar="SECRET",
-        help="framed shared secret presented when dialing each remote host "
+        help="framed shared secret presented when dialing each remote host, "
+             "or required of and presented to the --processes workers "
              "(env REPRO_AUTH_SECRET also works)",
     )
 
@@ -418,6 +419,7 @@ def cmd_serve(args, say) -> int:
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             event_log=args.supervisor_log,
+            auth_secret=args.auth_secret or None,
         ).start()
         say(f"[repro.serving] replica supervisor: {backend.num_replicas} "
             f"process(es) x {args.workers} worker(s)")

@@ -107,7 +107,11 @@ class SpawnSource:
     ``service_kwargs`` reach each child's ``SolveService`` as CLI flags;
     replica ``i`` is seeded ``seed + 1000 * i`` exactly as the in-process
     source seeds it, so a process deployment draws the same RANDOM-winner
-    streams as an in-process one.
+    streams as an in-process one.  ``auth_secret``, when given, is the
+    framed secret every child requires and every handle presents; it
+    reaches the children through their environment
+    (``REPRO_AUTH_SECRET``), never their command line.  Without it the
+    children require none, whatever this process's environment holds.
     """
 
     keeps_spares = False
@@ -125,8 +129,10 @@ class SpawnSource:
         max_restarts: int = 5,
         spawn_timeout: float = 30.0,
         shutdown_timeout: float = 30.0,
+        auth_secret: Optional[str] = None,
     ) -> None:
         self.service_kwargs = dict(service_kwargs or {})
+        self.auth_secret = auth_secret
         _worker_argv(self.service_kwargs)  # validate keys before any spawn
         self.seed = int(seed)
         self.host = host
@@ -239,8 +245,7 @@ class SpawnSource:
         assert self._fleet is not None
         self._fleet.record(event, replica_id, **fields)
 
-    @staticmethod
-    def _child_env() -> Dict[str, str]:
+    def _child_env(self) -> Dict[str, str]:
         env = dict(os.environ)
         # The child must import the same `repro` this parent runs, even
         # when the parent was launched via a src-layout checkout.
@@ -249,6 +254,11 @@ class SpawnSource:
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
+        # `worker --auth-secret` defaults to this variable: the child then
+        # requires exactly the secret its handle presents.
+        env.pop("REPRO_AUTH_SECRET", None)
+        if self.auth_secret is not None:
+            env["REPRO_AUTH_SECRET"] = self.auth_secret
         return env
 
     def _spawn(self, child: _Child) -> ProcessReplicaHandle:
@@ -303,6 +313,7 @@ class SpawnSource:
                 stale_after=self.heartbeat_timeout,
                 on_death=self._lost,
                 on_health_event=lambda h, kind: self._record(kind, h.replica_id),
+                auth_secret=self.auth_secret,
             )
         except BaseException:
             proc.kill()
@@ -419,6 +430,7 @@ class ReplicaSupervisor(ReplicaSet):
         spawn_timeout: float = 30.0,
         shutdown_timeout: float = 30.0,
         event_log: Optional[str] = None,
+        auth_secret: Optional[str] = None,
     ) -> None:
         super().__init__(
             replicas,
@@ -429,7 +441,7 @@ class ReplicaSupervisor(ReplicaSet):
                 restart_backoff=restart_backoff,
                 restart_backoff_cap=restart_backoff_cap,
                 max_restarts=max_restarts, spawn_timeout=spawn_timeout,
-                shutdown_timeout=shutdown_timeout,
+                shutdown_timeout=shutdown_timeout, auth_secret=auth_secret,
             ),
             spill_inflight=spill_inflight,
             auto_eject_after=auto_eject_after,

@@ -1,5 +1,6 @@
 """Tests for the repro.bench runner subsystem: configs, artifacts, CLI."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +248,49 @@ def test_cli_check_against_fails_when_artifact_missing(tmp_path):
         "--check-against", str(tmp_path),
     ])
     assert rc == 3
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_bare_check_against_passes_on_the_committed_artifacts():
+    # No --experiments and no --sizes: every sweep runs at the sizes its
+    # committed artifact holds, and served rows match whatever their batching.
+    assert bench_main(["--check-against", str(REPO), "--dry-run", "--quiet"]) == 0
+
+
+def test_check_against_without_sizes_catches_a_planted_charge_change(monkeypatch, capsys):
+    from repro.primitives import euler_tour
+
+    real = euler_tour._charge_circuit_ids
+    monkeypatch.setattr(
+        euler_tour, "_charge_circuit_ids",
+        lambda machine, n, performed: real(machine, n, performed + 1),
+    )
+    assert bench_main(["-e", "e1,e5", "--check-against", str(REPO), "--dry-run", "--quiet"]) == 3
+    assert "e1: " in capsys.readouterr().err
+
+
+def test_compare_charged_totals_treats_batch_outcomes_as_outcomes():
+    from repro.bench.artifacts import compare_charged_totals
+
+    def doc(batches, work, completed=64):
+        return {
+            "experiment": "serving",
+            "cells": [{
+                "fingerprint": "sha256:s",
+                "rows": [{"n": 128, "transport": "http", "completed": completed,
+                          "batches": batches, "multi_batches": batches // 2,
+                          "max_occupancy": 64 // batches, "mean_occupancy": 64 / batches,
+                          "time": 10 * batches, "work": work, "charged_work": work}],
+            }],
+        }
+
+    # the batching, and the charged totals that follow it, may differ
+    assert compare_charged_totals(doc(4, 900), doc(27, 1000)) == []
+    # a request that did not complete leaves the row without a counterpart
+    problems = compare_charged_totals(doc(4, 900, completed=63), doc(27, 1000))
+    assert problems and "no committed counterpart" in problems[0]
 
 
 def test_compare_charged_totals_matches_rows_by_identity():

@@ -79,7 +79,7 @@ def _instance(family, n, sigma, seed):
     return f, rng.integers(0, sigma, len(f))
 
 
-def _reference_with_level(f, labels_b, q_labels, residual, level, machine, cost_model):
+def _reference_with_level(f, labels_b, q_labels, residual, level, machine, cost_model, depth=None):
     return tree_labeling._label_residual_forest_reference(
         f, labels_b, q_labels, residual, machine, cost_model
     )

@@ -16,7 +16,10 @@ knobs to keep wall-clock in check.
 import inspect
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from repro.serving import (
 )
 from repro.serving.__main__ import build_parser
 from repro.serving.requests import SolveRequest
-from repro.serving.supervisor import _KWARG_FLAGS, _worker_argv
+from repro.serving.supervisor import _KWARG_FLAGS, SpawnSource, _worker_argv
+from repro.serving.transport import HttpServiceClient
 
 
 def _request(rng, n=200):
@@ -294,3 +298,41 @@ def test_heartbeat_knobs_are_validated_before_any_spawn():
         ReplicaSupervisor(1, heartbeat_interval=0.5, heartbeat_timeout=0.5)
     with pytest.raises(ValueError, match="at least one replica"):
         ReplicaSupervisor(0)
+
+
+def test_serve_processes_starts_and_solves_with_an_auth_secret_set(tmp_path):
+    # The worker child requires the secret its environment carries; the
+    # supervisor must present it, or startup ends in a lost connection.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    port_file = tmp_path / "port"
+    env = dict(os.environ, REPRO_AUTH_SECRET="s3cret-for-the-workers", PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serving", "serve", "--processes", "--replicas", "1",
+         "--workers", "1", "--port", "0", "--port-file", str(port_file), "--quiet"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        _wait_for(lambda: proc.poll() is not None or (port_file.exists() and port_file.read_text().strip()),
+                  timeout=60.0, message="the server to announce its port")
+        assert proc.poll() is None, proc.stderr.read().decode()
+        with HttpServiceClient(f"http://127.0.0.1:{int(port_file.read_text())}") as client:
+            response = client.solve([1, 2, 0, 0, 3], [0, 1, 0, 0, 1], timeout=60.0)
+        assert response.status is JobStatus.DONE
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == 0
+
+
+def test_spawned_workers_get_the_secret_by_environment_only(monkeypatch):
+    monkeypatch.setenv("REPRO_AUTH_SECRET", "from-the-parent")
+    source = SpawnSource(auth_secret="for-the-children")
+    assert source._child_env()["REPRO_AUTH_SECRET"] == "for-the-children"
+    assert "for-the-children" not in " ".join(_worker_argv(source.service_kwargs))
+    # without a secret of its own, the source's children require none
+    assert "REPRO_AUTH_SECRET" not in SpawnSource()._child_env()
