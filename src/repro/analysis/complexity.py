@@ -27,6 +27,7 @@ BOUNDS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda n: np.ones_like(n, dtype=float),
     "log n": lambda n: np.maximum(1.0, np.log2(np.maximum(2.0, n))),
     "log^2 n": lambda n: np.maximum(1.0, np.log2(np.maximum(2.0, n))) ** 2,
+    "log^3 n": lambda n: np.maximum(1.0, np.log2(np.maximum(2.0, n))) ** 3,
     "n": lambda n: n.astype(float),
     "n log log n": lambda n: n * np.maximum(1.0, np.log2(np.maximum(2.0, np.log2(np.maximum(2.0, n))))),
     "n log n": lambda n: n * np.maximum(1.0, np.log2(np.maximum(2.0, n))),

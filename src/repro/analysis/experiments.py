@@ -1,11 +1,9 @@
-"""Experiment runners shared by the benchmark harness and EXPERIMENTS.md.
+"""Experiment runners behind the ``BENCH_*.json`` artifacts.
 
 Each ``run_eX`` function executes one experiment of the evaluation plan
 (DESIGN.md §4) and returns long-format rows (list of dicts) ready for
-:func:`repro.analysis.tables.render_table`.  The benchmark files under
-``benchmarks/`` are thin wrappers that time one representative
-configuration with pytest-benchmark and print the regenerated table; the
-tests assert the acceptance criteria on (smaller) sweeps of the same rows.
+:func:`repro.analysis.tables.render_table`.  :mod:`repro.bench` records and
+re-checks them; ``tests/test_experiments.py`` runs them at other sizes.
 """
 
 from __future__ import annotations

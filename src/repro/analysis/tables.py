@@ -60,7 +60,7 @@ def render_series(xs: Sequence[object], ys: Sequence[float], *, label: str = "",
                   width: int = 50) -> str:
     """Tiny ASCII plot of a series (one line per point with a bar).
 
-    Used by the "figure" benchmarks so the regenerated figure is readable
+    Used by the "figure" experiments so the regenerated figure is readable
     directly in the terminal / captured output.
     """
     ys = [float(y) for y in ys]

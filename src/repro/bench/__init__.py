@@ -8,17 +8,17 @@ recordable benchmark suite:
 * :class:`~repro.bench.runner.BenchmarkRunner` — executes cells, measures
   wall-clock, renders the EXPERIMENTS tables, and emits schema-versioned
   ``BENCH_E*.json`` artifacts (see :mod:`repro.bench.artifacts`).
-* ``python -m repro.bench`` — the CLI front end
-  (:mod:`repro.bench.cli`).
+* ``python -m repro.bench`` — the CLI front end (:mod:`repro.bench.cli`),
+  and ``python -m repro.bench.claims`` — the paper's claims checked on the
+  artifacts (:mod:`repro.bench.claims`).
 * :class:`~repro.bench.runs.RunRegistry` — named runs
   (``--run-name``): per-run result directories with a config +
   git-state manifest, an ordered run index (``BENCH_RUNS/``), and a
   trend checker (``python -m repro.bench.runs check``) that exits
   non-zero on throughput/latency regressions beyond a tolerance.
 
-Both the pytest files under ``benchmarks/`` and the CLI run through
-:class:`BenchmarkRunner`, so printed tables and persisted JSON always come
-from the same execution.
+The CLI runs through :class:`BenchmarkRunner`, so printed tables and
+persisted JSON always come from the same execution.
 """
 
 from .artifacts import (

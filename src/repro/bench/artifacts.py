@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from typing import Dict, List, Mapping, Optional
 
 #: Document format identifier; bump :data:`SCHEMA_VERSION` on breaking change.
@@ -147,13 +148,12 @@ def load_artifact(path: str) -> Dict[str, object]:
 METRIC_KEYS = ("time", "work", "charged_work")
 
 #: Host-measurement columns (allowed — encouraged — to move between runs).
+#: E7's ``brent_time``/``speedup``/``efficiency`` are not among them: they
+#: follow from the charged time and work, so they are identity columns.
 _VOLATILE_KEYS = frozenset(
     {
         "wall_seconds",
         "ns_per_node",
-        "brent_time",
-        "speedup",
-        "efficiency",
         "throughput_rps",
         "p50_ms",
         "p95_ms",
@@ -199,7 +199,8 @@ def compare_charged_totals(
     matched on their identity columns (algorithm, n, workload, ...), so a
     partial fresh sweep — e.g. the CI perf-smoke's single size — checks
     against the matching slice of the committed full sweep.  Cells whose
-    config fingerprints match additionally pin the aggregate totals.  A
+    config fingerprints match additionally pin the aggregate totals, and
+    every committed row of such a cell must be reproduced.  A
     served row must find its counterpart (same cell, same requests
     completed and shed), but its charged totals follow the run's batching
     and are not compared.
@@ -253,7 +254,13 @@ def compare_charged_totals(
     }
     for cell in fresh["cells"]:  # type: ignore[union-attr]
         match = committed_cells.get(cell["fingerprint"])
-        if match is None or any(_batched(r) for r in [*cell["rows"], *match["rows"]]):
+        if match is None:
+            continue
+        missing = (Counter(map(_row_identity, match["rows"]))
+                   - Counter(map(_row_identity, cell["rows"])))
+        problems.extend(f"cell {cell['fingerprint']}: committed row {dict(identity)} "
+                        "was not reproduced" for identity in sorted(missing))
+        if any(_batched(r) for r in [*cell["rows"], *match["rows"]]):
             continue
         for key in METRIC_KEYS:
             fresh_total = sum(int(r.get(key, 0) or 0) for r in cell["rows"])

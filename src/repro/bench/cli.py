@@ -11,6 +11,11 @@ Run two experiments over a custom sweep and write ``BENCH_E1.json`` /
 Full nightly sweep on the no-audit fast path::
 
     python -m repro.bench --experiments all --no-audit --out-dir bench-out
+
+Re-run every committed cell and compare it with the committed artifacts
+(exit 3 on drift), then write the fresh ones over them (the refresh)::
+
+    python -m repro.bench --check-against .
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
 from .config import SweepConfig
 from .registry import experiment_ids, get_experiment
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", "-w", default=None,
         help="named workload for the experiments that accept one",
     )
-    parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    parser.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
     parser.add_argument(
         "--no-audit", action="store_true",
         help="run on the no-audit fast path (skips PRAM conflict validation; "
@@ -95,11 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--check-against", default=None, metavar="DIR",
-        help="compare the run's charged time/work/charged_work against the "
-             "committed BENCH_E*.json artifacts in DIR; any drift fails "
-             "the run (exit code 3) — perf changes must not move totals. "
-             "Without --sizes, each sweep runs at the sizes its committed "
-             "artifact holds",
+        help="compare the run's charged totals and identity columns with the "
+             "BENCH_*.json artifacts in DIR, read before anything runs; any "
+             "drift exits 3.  Without --sizes, every committed cell re-runs "
+             "from its recorded config, so without --dry-run it refreshes DIR",
     )
     parser.add_argument(
         "--run-name", default=None, metavar="NAME",
@@ -152,6 +157,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     ids = args.experiments if args.experiments is not None else experiment_ids()
     echo = None if args.quiet else print
+    committed = None
+    if args.check_against is not None:
+        if not args.sizes and (args.workload is not None or args.seed is not None):
+            print("error: without --sizes, --check-against re-runs every committed cell "
+                  "as recorded; --workload and --seed apply only with --sizes", file=sys.stderr)
+            return 2
+        # Read before anything runs: the run may write into the same dir.
+        committed, problems = _load_committed(args.check_against, ids)
+        if problems:
+            for problem in problems:
+                print(f"error: {problem}", file=sys.stderr)
+            return 3
     configs = []
     for experiment_id in ids:
         spec = get_experiment(experiment_id)
@@ -161,16 +178,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         audit = False if (args.no_audit and spec.supports_audit) else None
         if args.no_audit and not spec.supports_audit and echo:
             echo(f"[repro.bench] note: {spec.id} has no audit toggle; running as usual")
-        sizes = tuple(args.sizes) if args.sizes and spec.size_arg else None
-        if sizes is None and spec.size_arg and args.check_against is not None:
-            # check each sweep where its committed artifact has rows
-            sizes = _committed_sizes(args.check_against, spec.id)
+        if committed is not None and not args.sizes:
+            recorded = [SweepConfig.from_dict(cell["config"])
+                        for cell in committed[spec.id]["cells"]]
+            configs += [c if audit is None else replace(c, audit=audit) for c in recorded]
+            continue
         configs.append(
             SweepConfig(
                 experiment=spec.id,
-                sizes=sizes,
+                sizes=tuple(args.sizes) if args.sizes and spec.size_arg else None,
                 workload=args.workload if spec.supports_workload else None,
-                seed=args.seed,
+                seed=args.seed or 0,
                 audit=audit,
             )
         )
@@ -219,22 +237,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         written.append(profile_path)
     if echo and written:
         echo("\n[repro.bench] artifacts: " + ", ".join(written))
-    if args.check_against is not None:
-        problems = _check_against(results, args.check_against, echo)
+    if committed is not None:
+        problems = _check_against(results, committed, args.check_against, echo)
         if problems:
             for problem in problems:
                 print(f"error: {problem}", file=sys.stderr)
             print(
-                f"error: charged totals drifted from the committed artifacts "
-                f"in {args.check_against!r} ({len(problems)} mismatches) — "
-                "perf changes must keep time/work/charged_work bit-identical",
+                f"error: the run drifted from the committed artifacts in "
+                f"{args.check_against!r} ({len(problems)} mismatches) — perf "
+                "changes must keep time/work/charged_work and every identity "
+                "column bit-identical",
                 file=sys.stderr,
             )
             return 3
         if echo:
             echo(
-                f"[repro.bench] check passed: charged totals match the "
-                f"committed artifacts in {args.check_against!r}"
+                f"[repro.bench] check passed: "
+                f"{sum(r.artifact['totals']['rows'] for r in results.values())} "
+                f"rows match the committed artifacts in {args.check_against!r}"
             )
     if registry is not None:
         manifest = registry.finalize(
@@ -243,7 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "experiments": list(ids),
                 "sizes": list(args.sizes) if args.sizes else None,
                 "workload": args.workload,
-                "seed": args.seed,
+                "seed": args.seed or 0,
                 "no_audit": bool(args.no_audit),
                 "repeat": args.repeat,
             },
@@ -352,43 +372,35 @@ def _emit_profile(profile, args, ids: List[str], echo) -> Optional[str]:
     return path
 
 
-def _committed_sizes(directory: str, experiment_id: str) -> Optional[Tuple[int, ...]]:
-    """The sweep sizes of the committed artifact's cells, in order (``None``
-    when there is no readable artifact or it ran the default sweep)."""
+def _load_committed(directory: str, ids: Sequence[str]):
+    """``({experiment: document}, problems)`` for the artifacts in
+    `directory` of the experiments `ids`."""
     from .artifacts import artifact_filename, load_artifact
 
-    path = os.path.join(directory, artifact_filename(experiment_id))
-    try:
-        cells = load_artifact(path)["cells"]
-    except (OSError, ValueError):
-        return None  # the check itself reports the missing or broken artifact
-    sizes: List[int] = []
-    for cell in cells:
-        sizes += [int(s) for s in cell["config"].get("sizes") or () if int(s) not in sizes]
-    return tuple(sizes) or None
+    committed: Dict[str, Dict[str, object]] = {}
+    problems: List[str] = []
+    for experiment_id in ids:
+        path = os.path.join(directory, artifact_filename(experiment_id))
+        try:
+            committed[experiment_id] = load_artifact(path)
+        except (OSError, ValueError) as err:
+            problems.append(f"cannot check {experiment_id} against {path}: {err}")
+    return committed, problems
 
 
-def _check_against(results, directory: str, echo) -> List[str]:
-    """Charged-totals drift check of `results` vs committed artifacts."""
-    import os
-
-    from .artifacts import artifact_filename, compare_charged_totals, load_artifact
+def _check_against(results, committed, directory: str, echo) -> List[str]:
+    """Drift check of `results` vs the `committed` documents read from
+    `directory`."""
+    from .artifacts import artifact_filename, compare_charged_totals
 
     problems: List[str] = []
     for result in results.values():
-        path = os.path.join(directory, artifact_filename(result.experiment))
-        if not os.path.exists(path):
-            problems.append(f"no committed artifact {path} to check {result.experiment} against")
-            continue
-        try:
-            committed = load_artifact(path)
-        except ValueError as err:
-            problems.append(f"{path}: {err}")
-            continue
-        mismatches = compare_charged_totals(result.artifact, committed)
+        mismatches = compare_charged_totals(result.artifact, committed[result.experiment])
         problems.extend(f"{result.experiment}: {m}" for m in mismatches)
         if echo and not mismatches:
-            echo(f"[repro.bench] {result.experiment}: totals match {path}")
+            path = os.path.join(directory, artifact_filename(result.experiment))
+            echo(f"[repro.bench] {result.experiment}: "
+                 f"{result.artifact['totals']['rows']} rows match {path}")
     return problems
 
 

@@ -6,9 +6,8 @@ plus named experiments like ``serving``) to its runner in
 :class:`~repro.bench.config.SweepConfig` maps onto the runner's keyword
 arguments (the sweep axis is called ``sizes`` for most experiments but
 ``cycle_counts`` for E5, and E7/E8/E10 have no size sweep at all), and owns
-the table rendering previously duplicated across ``benchmarks/bench_e*.py``
-— so the printed EXPERIMENTS tables and the JSON artifacts are produced by
-one code path.
+the table rendering — so the printed EXPERIMENTS tables and the JSON
+artifacts are produced by one code path.
 """
 
 from __future__ import annotations

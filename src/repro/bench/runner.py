@@ -4,9 +4,9 @@
 :class:`~repro.bench.config.SweepConfig` cells against the experiment
 registry, measures host wall-clock per cell, renders the experiment tables
 (the ones EXPERIMENTS.md records) and emits one schema-versioned
-``BENCH_E*.json`` artifact per experiment.  The pytest benchmark files and
-the ``python -m repro.bench`` CLI are both thin clients of this class, so
-the printed tables and the persisted perf trajectory always agree.
+``BENCH_E*.json`` artifact per experiment.  The ``python -m repro.bench``
+CLI is a thin client of this class, so the printed tables and the
+persisted perf trajectory always agree.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class ExperimentResult:
     def rows(self) -> List[Row]:
         """Rows of every cell, concatenated in execution order."""
         return [row for cell in self.cells for row in cell.rows]
-
-    @property
-    def wall_seconds(self) -> float:
-        return sum(cell.wall_seconds for cell in self.cells)
 
 
 class BenchmarkRunner:
@@ -154,8 +150,8 @@ class BenchmarkRunner:
         """Run every cell of one experiment and assemble its artifact.
 
         All configs must target the same experiment; tables are rendered
-        over the concatenated rows of all cells (matching how the
-        benchmark files compose multi-family tables).
+        over the concatenated rows of all cells (so a multi-family
+        experiment such as E3 prints one table).
         """
         if not configs:
             raise ValueError("run_experiment needs at least one config")

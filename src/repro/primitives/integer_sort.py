@@ -20,7 +20,7 @@ from the published Bhatt et al. bound, the sort charges its cost through a
 *cost adapter* (see :class:`SortCostModel`): the machine records both the
 incurred cost and the published bound, and reports ``charged_work``
 accordingly.  The default charges the published bound, which is what the
-paper's Theorem 5.1 assumes; benchmarks can flip to ``incurred`` to see
+paper's Theorem 5.1 assumes; experiments can flip to ``incurred`` to see
 the difference (E9 ablation).
 """
 

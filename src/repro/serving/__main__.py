@@ -1,9 +1,10 @@
 """Command-line front end: ``python -m repro.serving`` / ``repro-serve``.
 
 One subcommand per mode; each accepts only the flags its mode reads.  A
-usage or configuration error (a flag from another mode, a malformed
-value, an unreadable ``--remote-config``) names the flag and exits 2
-before anything binds, spawns or dials.
+usage or configuration error (a flag from another mode, a ``serve`` flag
+of a sub-mode not selected, a malformed value, an unreadable
+``--remote-config``) names the flag and exits 2 before anything binds,
+spawns or dials.
 
 ``serve`` boots the protocol-sniffing ingress (:mod:`repro.serving.framing`:
 framed and HTTP on one port) in front of a
@@ -74,6 +75,16 @@ from .handles import parse_address
 METRICS_SCHEMA = "repro.serving"
 METRICS_SCHEMA_VERSION = 1
 
+#: Effective defaults of the flags parsed with default ``None``, so that
+#: ``serve`` can tell a flag given from one left out.
+_DEFAULTS = dict(algorithm="jaja-ryu", seed=0, workers=4, queue_capacity=1024,
+                 batch_size=32, batch_delay_ms=2.0, replicas=1, min_replicas=1,
+                 max_replicas=8, scale_interval=0.25)
+#: ``serve`` flags only ``--replicas auto`` reads, and flags a remote fleet
+#: (built from its host addresses alone) never reads.
+_AUTO_FLAGS = ("min_replicas", "max_replicas", "slo_p99_ms", "scale_interval")
+_LOCAL_FLAGS = ("workers", "batch_size", "batch_delay_ms", "queue_capacity", "algorithm", "seed")
+
 
 def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """A flag group that subcommands take as a parent parser."""
@@ -98,19 +109,19 @@ def build_parser() -> argparse.ArgumentParser:
     quiet = _group()
     quiet.add_argument("--quiet", "-q", action="store_true", help="suppress tables")
     solve = _group(quiet)
-    solve.add_argument("--algorithm", default="jaja-ryu", help="partition algorithm")
-    solve.add_argument("--seed", type=int, default=0, help="generator seed")
+    solve.add_argument("--algorithm", default=None, help="partition algorithm")
+    solve.add_argument("--seed", type=int, default=None, help="generator seed")
     # Service sizing; `load` builds its pools without the batching knobs.
     pool = _group(solve)
-    pool.add_argument("--workers", type=_positive(int), default=4,
+    pool.add_argument("--workers", type=_positive(int), default=None,
                       help="worker shards (default 4)")
-    pool.add_argument("--queue-capacity", type=_positive(int), default=1024,
+    pool.add_argument("--queue-capacity", type=_positive(int), default=None,
                       help="ingress bound")
     service = _group(pool)
-    service.add_argument("--batch-size", type=_positive(int), default=32,
+    service.add_argument("--batch-size", type=_positive(int), default=None,
                          help="max requests per batch")
     service.add_argument(
-        "--batch-delay-ms", type=float, default=2.0,
+        "--batch-delay-ms", type=float, default=None,
         help="max time a partially-filled batch is held open (default 2ms)",
     )
     listen = _group()
@@ -153,23 +164,23 @@ def build_parser() -> argparse.ArgumentParser:
     serve = _mode(modes, "serve", cmd_serve, [ingress],
                   "serve HTTP and framed requests until interrupted")
     serve.add_argument(
-        "--replicas", type=_replicas_spec, default=1, metavar="N|auto",
+        "--replicas", type=_replicas_spec, default=None, metavar="N|auto",
         help="serve a ReplicaSet of N services behind the ingress "
              "(default 1), or 'auto' to let the pool controller size it "
              "between --min-replicas and --max-replicas",
     )
     serve.add_argument(
-        "--min-replicas", type=_positive(int), default=1, metavar="N",
+        "--min-replicas", type=_positive(int), default=None, metavar="N",
         help="--replicas auto: lower pool bound and starting size (default 1)",
     )
-    serve.add_argument("--max-replicas", type=_positive(int), default=8, metavar="N",
+    serve.add_argument("--max-replicas", type=_positive(int), default=None, metavar="N",
                        help="--replicas auto: upper pool bound (default 8)")
     serve.add_argument(
         "--slo-p99-ms", type=_positive(float), default=None, metavar="MS",
         help="--replicas auto: also scale up while the rolling p99 exceeds MS",
     )
     serve.add_argument(
-        "--scale-interval", type=_positive(float), default=0.25, metavar="SECONDS",
+        "--scale-interval", type=_positive(float), default=None, metavar="SECONDS",
         help="--replicas auto: pool-controller tick period, > 0 (default 0.25)",
     )
     serve.add_argument(
@@ -379,6 +390,14 @@ def _service_kwargs(args) -> dict:
 def cmd_serve(args, say) -> int:
     """``serve``: boot the ingress and serve until interrupted."""
     remote_addresses = (args.remote or []) + (args.remote_config or [])
+    auto = args.replicas == "auto"
+    unread = [(f, "is read only with --replicas auto") for f in _AUTO_FLAGS if not auto]
+    if remote_addresses:
+        unread += [(f, "is not read by a --remote/--remote-config fleet")
+                   for f in _LOCAL_FLAGS + (() if auto else ("replicas",))]
+    for flag, why in unread:
+        if flag in args.given:
+            return _refuse(f"--{flag.replace('_', '-')} {why}")
     if remote_addresses and args.processes:
         return _refuse("--processes cannot be combined with --remote or "
                        "--remote-config: remote hosts run their own processes")
@@ -672,6 +691,10 @@ def _report(args, say, report) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.given = {k for k in (*_DEFAULTS, "slo_p99_ms") if getattr(args, k, None) is not None}
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
     say = (lambda *_: None) if args.quiet else print
     return args.run(args, say)
 

@@ -1,10 +1,8 @@
 """Reusable test/benchmark input builders.
 
 These helpers live in the package (rather than in a ``conftest.py``) so
-that the test suite, the benchmark harness and the examples can all import
-them without relying on pytest's rootdir-dependent ``conftest`` module
-injection — ``tests/`` and ``benchmarks/`` each have their own conftest and
-the two would collide on the bare module name ``conftest``.
+that the test suite and the examples can both import them without relying
+on pytest's rootdir-dependent ``conftest`` module injection.
 """
 
 from __future__ import annotations

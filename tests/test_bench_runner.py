@@ -253,10 +253,54 @@ def test_cli_check_against_fails_when_artifact_missing(tmp_path):
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_bare_check_against_passes_on_the_committed_artifacts():
-    # No --experiments and no --sizes: every sweep runs at the sizes its
-    # committed artifact holds, and served rows match whatever their batching.
-    assert bench_main(["--check-against", str(REPO), "--dry-run", "--quiet"]) == 0
+def test_bare_check_against_passes_on_the_committed_artifacts(tmp_path, capsys):
+    # No --experiments and no --sizes: every committed cell re-runs from its
+    # recorded config, and served rows match whatever their batching.
+    assert bench_main(["--check-against", str(REPO), "--out-dir", str(tmp_path)]) == 0
+    committed = [load_artifact(str(p)) for p in sorted(REPO.glob("BENCH_*.json"))]
+    assert len(committed) == len(experiment_ids())
+    rows = sum(document["totals"]["rows"] for document in committed)
+    assert f"check passed: {rows} rows match" in capsys.readouterr().out
+    for document in committed:  # so each fresh cell's totals are compared too
+        fresh = load_artifact(str(tmp_path / artifact_filename(document["experiment"])))
+        assert [c["fingerprint"] for c in fresh["cells"]] == [
+            c["fingerprint"] for c in document["cells"]]
+
+
+@pytest.mark.parametrize("experiment, match, column, change, write", [
+    ("e3", {"family": "binary"}, "charged_work", lambda v: v * 10, False),
+    ("e4", {"family": "skewed"}, "work", lambda v: v * 10, False),
+    ("e6", {"family": "binary"}, "max_shrink_factor", lambda v: 0.99, False),
+    ("e7", {}, "brent_time", lambda v: v * 100, False),
+    # without --dry-run the check writes into the directory it checks
+    ("e5", {"k": 4}, "work", lambda v: v + 1, True),
+], ids=["e3-binary", "e4-skewed", "e6-binary", "e7", "e5-written-back"])
+def test_check_against_compares_every_committed_cell(tmp_path, experiment, match,
+                                                     column, change, write):
+    path = tmp_path / artifact_filename(experiment)
+    document = load_artifact(str(REPO / path.name))
+    for row in (row for cell in document["cells"] for row in cell["rows"]):
+        if match.items() <= row.items():
+            row[column] = change(row[column])
+    path.write_text(json.dumps(document))
+    check = ["-e", experiment, "--check-against", str(tmp_path), "-q", "--dry-run"]
+    assert bench_main(check[:-1] + ["--out-dir", str(tmp_path)] if write else check) == 3
+    # it compared before writing, so what it wrote back is the code's own
+    assert bench_main(check) == (0 if write else 3)
+
+
+def test_check_against_fails_on_a_committed_row_the_run_does_not_reproduce(tmp_path):
+    document = load_artifact(str(REPO / "BENCH_E8.json"))
+    document["cells"][0]["rows"].append({**document["cells"][0]["rows"][0], "trials": 31})
+    (tmp_path / "BENCH_E8.json").write_text(json.dumps(document))
+    assert bench_main(["-e", "e8", "--check-against", str(tmp_path), "--dry-run", "-q"]) == 3
+
+
+@pytest.mark.parametrize("flag", [["--seed", "0"], ["--workload", "mixed"]])
+def test_check_against_without_sizes_refuses_cell_flags(flag, capsys):
+    assert bench_main(["-e", "e5", "--check-against", str(REPO), "--dry-run", "-q",
+                       *flag]) == 2
+    assert "apply only with --sizes" in capsys.readouterr().err
 
 
 def test_check_against_without_sizes_catches_a_planted_charge_change(monkeypatch, capsys):

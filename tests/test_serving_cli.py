@@ -127,6 +127,17 @@ def test_a_flag_this_mode_does_not_read_exits_2(argv, capsys):
     (["load", "--queue-capacity", "0"], "--queue-capacity"),
     (["burst", "--workers", "0"], "--workers"),
     (["proxy", "--upstream", "127.0.0.1:1", "--chaos-every", "0"], "--chaos-every"),
+    # serve flags of a sub-mode not selected
+    (["serve", "--replicas", "2", "--max-replicas", "4"], "--max-replicas"),
+    (["serve", "--min-replicas", "2"], "--min-replicas"),
+    (["serve", "--slo-p99-ms", "5"], "--slo-p99-ms"),
+    (["serve", "--processes", "--scale-interval", "0.1"], "--scale-interval"),
+    *[(["serve", "--remote", "127.0.0.1:1", flag, value], flag) for flag, value in [
+        ("--workers", "2"), ("--batch-size", "8"), ("--batch-delay-ms", "1"),
+        ("--queue-capacity", "8"), ("--algorithm", "srikant"), ("--seed", "0"),
+        ("--replicas", "2")]],
+    (["serve", "--remote-config", "{fleet}", "--replicas", "auto", "--workers", "2"],
+     "--workers"),
 ])
 def test_configuration_errors_exit_2_naming_the_flag(argv, flag, tmp_path,
                                                      monkeypatch, capsys):
@@ -149,3 +160,21 @@ def test_configuration_errors_exit_2_naming_the_flag(argv, flag, tmp_path,
     assert "Traceback" not in err
     assert re.search(rf"(error: argument |^\[repro\.serving\] ){flag}\b",
                      err.strip().splitlines()[-1])
+
+
+def test_serve_keeps_its_defaults_and_reads_auto_flags_under_auto(monkeypatch):
+    built = []
+
+    def backend(*args, **kwargs):
+        built.append((args, kwargs))
+        raise SystemExit(0)  # stop before anything binds
+
+    for name in ("SolveService", "ReplicaSet", "RemoteReplicaFleet"):
+        monkeypatch.setattr(cli, name, backend)
+    for argv in (["serve"], ["serve", "--replicas", "auto", "--min-replicas", "2"],
+                 ["serve", "--remote", "127.0.0.1:1", "--replicas", "auto", "--max-replicas", "1"]):
+        assert _exit_code(argv) == 0
+    service = dict(seed=0, workers=4, max_batch_size=32, max_batch_delay=0.002,
+                   queue_capacity=1024, default_algorithm="jaja-ryu")
+    assert built[:2] == [((), service), ((2,), dict(event_log=None, **service))]
+    assert built[2][0] == (["127.0.0.1:1"],)
