@@ -1,11 +1,13 @@
 """Machine-readable benchmark artifacts (``BENCH_E*.json``).
 
-Every runner invocation emits one JSON artifact per experiment so the
-repository accumulates a perf trajectory: charged PRAM cost (time/work),
-host wall-clock, and the exact configuration fingerprint of each cell.
-The schema is versioned; :func:`validate_artifact` rejects documents that
-a reader of this version cannot interpret, and the loader runs it, so a
-schema bump cannot silently corrupt trend tooling.
+Every runner invocation emits one JSON artifact per experiment: the exact
+configuration fingerprint of each cell, its result rows and the charged
+PRAM totals.  An artifact holds only what a re-run of its cells
+reproduces, so a refresh that changes no charge leaves no diff: host
+timings and a served run's batching are printed, never written (see
+:func:`facts`).  The schema is versioned; :func:`validate_artifact`
+rejects documents that a reader of this version cannot interpret, and the
+loader runs it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,39 @@ REQUIRED_KEYS = (
 )
 
 #: Keys every cell of an artifact must carry.
-REQUIRED_CELL_KEYS = ("config", "fingerprint", "rows", "wall_seconds")
+REQUIRED_CELL_KEYS = ("config", "fingerprint", "rows")
+
+#: Charged-cost columns that a perf change must NOT move.
+METRIC_KEYS = ("time", "work", "charged_work")
+
+#: Host-measurement columns: a re-run reads them anew.  E7's
+#: ``brent_time``/``speedup``/``efficiency`` are not among them: they
+#: follow from the charged time and work, so they are identity columns.
+_VOLATILE_KEYS = frozenset(
+    {
+        "wall_seconds",
+        "ns_per_node",
+        "throughput_rps",
+        "p50_ms",
+        "p95_ms",
+        "p99_ms",
+    }
+)
+
+#: How a served run's requests happened to coalesce.  A batch is charged
+#: as one solve of its requests' union, so the charged totals of a row
+#: that carries these follow the batching too.
+_BATCH_OUTCOME_KEYS = frozenset({"batches", "multi_batches", "mean_occupancy", "max_occupancy"})
+
+
+def facts(row: Mapping[str, object]) -> Dict[str, object]:
+    """The columns of a result row that a re-run of its cell reproduces:
+    all but host timings and batching outcomes, and, in a row with a
+    batching outcome, the charged totals that follow it."""
+    drop = _VOLATILE_KEYS
+    if not _BATCH_OUTCOME_KEYS.isdisjoint(row):
+        drop = drop | _BATCH_OUTCOME_KEYS | frozenset(METRIC_KEYS)
+    return {k: v for k, v in row.items() if k not in drop}
 
 
 def artifact_filename(experiment_id: str) -> str:
@@ -49,10 +83,10 @@ def build_artifact(
     """Assemble a schema-versioned artifact document.
 
     ``cells`` entries come from the runner: each holds the serialised
-    :class:`~repro.bench.config.SweepConfig`, its fingerprint, the result
-    rows and the measured wall-clock.  Totals aggregate the charged PRAM
-    cost columns over every row that carries them, giving one
-    regression-trackable number per experiment.
+    :class:`~repro.bench.config.SweepConfig`, its fingerprint and the
+    result rows, already reduced to their :func:`facts`.  Totals aggregate
+    the charged PRAM cost columns over every row that carries them, giving
+    one regression-trackable number per experiment.
     """
     totals: Dict[str, int] = {"time": 0, "work": 0, "charged_work": 0}
     n_rows = 0
@@ -69,11 +103,7 @@ def build_artifact(
         "experiment": experiment_id,
         "title": title,
         "cells": cells,
-        "totals": {
-            **totals,
-            "rows": n_rows,
-            "wall_seconds": round(sum(float(c["wall_seconds"]) for c in cells), 6),
-        },
+        "totals": {**totals, "rows": n_rows},
         "tables": tables,
     }
 
@@ -144,49 +174,12 @@ def load_artifact(path: str) -> Dict[str, object]:
     return document
 
 
-#: Charged-cost columns that a perf change must NOT move.
-METRIC_KEYS = ("time", "work", "charged_work")
-
-#: Host-measurement columns (allowed — encouraged — to move between runs).
-#: E7's ``brent_time``/``speedup``/``efficiency`` are not among them: they
-#: follow from the charged time and work, so they are identity columns.
-_VOLATILE_KEYS = frozenset(
-    {
-        "wall_seconds",
-        "ns_per_node",
-        "throughput_rps",
-        "p50_ms",
-        "p95_ms",
-        "p99_ms",
-    }
-)
-
-#: How a served run's requests happened to coalesce: outcomes that vary
-#: from run to run.  A batch is charged as one solve of its requests'
-#: union, so the charged totals of a row that carries these follow the
-#: batching too and are outcomes as well, not facts to check.
-_BATCH_OUTCOME_KEYS = frozenset({"batches", "multi_batches", "mean_occupancy", "max_occupancy"})
-
-
 def _row_identity(row: Mapping[str, object]) -> tuple:
     """The stable identity of a result row: every column that is neither a
-    charged metric, a derived ratio (contains ``/``), a host timing nor a
-    batch outcome."""
+    charged metric nor a derived ratio (contains ``/``)."""
     return tuple(
-        sorted(
-            (k, str(v))
-            for k, v in row.items()
-            if k not in METRIC_KEYS
-            and k not in _VOLATILE_KEYS
-            and k not in _BATCH_OUTCOME_KEYS
-            and "/" not in k
-        )
+        sorted((k, str(v)) for k, v in row.items() if k not in METRIC_KEYS and "/" not in k)
     )
-
-
-def _batched(row: Mapping[str, object]) -> bool:
-    """Whether the row's charged totals depend on its run's batching."""
-    return not _BATCH_OUTCOME_KEYS.isdisjoint(row)
 
 
 def compare_charged_totals(
@@ -200,10 +193,9 @@ def compare_charged_totals(
     partial fresh sweep — e.g. the CI perf-smoke's single size — checks
     against the matching slice of the committed full sweep.  Cells whose
     config fingerprints match additionally pin the aggregate totals, and
-    every committed row of such a cell must be reproduced.  A
-    served row must find its counterpart (same cell, same requests
-    completed and shed), but its charged totals follow the run's batching
-    and are not compared.
+    every committed row of such a cell must be reproduced.  A served row
+    carries no charged totals (see :func:`facts`) but must still find its
+    counterpart: same cell, same requests completed and shed.
     """
     if fresh["experiment"] != committed["experiment"]:
         return [
@@ -235,8 +227,6 @@ def compare_charged_totals(
             )
         for row, committed_row in zip(rows, committed_rows[identity]):
             compared += 1
-            if _batched(row) or _batched(committed_row):
-                continue
             for key in METRIC_KEYS:
                 if key in row or key in committed_row:
                     if row.get(key) != committed_row.get(key):
@@ -260,8 +250,6 @@ def compare_charged_totals(
                    - Counter(map(_row_identity, cell["rows"])))
         problems.extend(f"cell {cell['fingerprint']}: committed row {dict(identity)} "
                         "was not reproduced" for identity in sorted(missing))
-        if any(_batched(r) for r in [*cell["rows"], *match["rows"]]):
-            continue
         for key in METRIC_KEYS:
             fresh_total = sum(int(r.get(key, 0) or 0) for r in cell["rows"])
             committed_total = sum(int(r.get(key, 0) or 0) for r in match["rows"])

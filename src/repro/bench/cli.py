@@ -16,6 +16,10 @@ Re-run every committed cell and compare it with the committed artifacts
 (exit 3 on drift), then write the fresh ones over them (the refresh)::
 
     python -m repro.bench --check-against .
+
+The artifacts hold only what a re-run reproduces, so a refresh that moves
+no charge leaves no diff.  Whether a change is slower is the question of
+``python -m repro.bench.ab BASE HEAD``.
 """
 
 from __future__ import annotations
@@ -80,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
              "charged cost is unchanged)",
     )
     parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run every cell N times and keep the best wall-clock sample "
-             "(recorded in the artifact cells; charged totals are "
-             "deterministic and identical across repeats)",
-    )
-    parser.add_argument(
         "--out-dir", "-o", default=".",
         help="directory for BENCH_E*.json artifacts (default: current directory)",
     )
@@ -105,29 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
              "BENCH_*.json artifacts in DIR, read before anything runs; any "
              "drift exits 3.  Without --sizes, every committed cell re-runs "
              "from its recorded config, so without --dry-run it refreshes DIR",
-    )
-    parser.add_argument(
-        "--run-name", default=None, metavar="NAME",
-        help="record this sweep as a named run: artifacts land in "
-             "<runs-dir>/NAME/ next to a manifest.json capturing the "
-             "config and git state, and the run is appended to the runs "
-             "index (re-using a name overwrites that run)",
-    )
-    parser.add_argument(
-        "--runs-dir", default="BENCH_RUNS", metavar="DIR",
-        help="directory holding the named-run history (default: BENCH_RUNS)",
-    )
-    parser.add_argument(
-        "--trend-check", action="store_true",
-        help="after a named run, compare its throughput/p99/wall trend "
-             "against the newest other run in the index; regressions "
-             "beyond --trend-tolerance exit with code 4 "
-             "(requires --run-name)",
-    )
-    parser.add_argument(
-        "--trend-tolerance", type=float, default=0.5, metavar="F",
-        help="allowed fractional degradation before the trend check "
-             "flags a regression (default 0.5 = 50%%)",
     )
     parser.add_argument("--quiet", "-q", action="store_true", help="suppress table output")
     parser.add_argument(
@@ -192,37 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 audit=audit,
             )
         )
-    if args.repeat < 1:
-        print("error: --repeat must be a positive integer", file=sys.stderr)
-        return 2
-    if args.trend_check and args.run_name is None:
-        print("error: --trend-check requires --run-name", file=sys.stderr)
-        return 2
-    registry = None
-    if args.run_name is not None:
-        if args.dry_run:
-            print(
-                "error: --run-name records a persistent run; drop --dry-run",
-                file=sys.stderr,
-            )
-            return 2
-        from .runs import RunRegistry
-
-        registry = RunRegistry(args.runs_dir)
-        try:
-            run_dir = registry.prepare(args.run_name)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        # a named run owns its artifacts: everything lands in the run dir
-        args.out_dir = run_dir
-        if echo:
-            echo(f"[repro.bench] named run {args.run_name!r} -> {run_dir}")
-    runner = BenchmarkRunner(
-        out_dir=None if args.dry_run else args.out_dir,
-        echo=echo,
-        repeat=args.repeat,
-    )
+    runner = BenchmarkRunner(out_dir=None if args.dry_run else args.out_dir, echo=echo)
     if args.profile:
         from ..pram.metrics import wall_profiling
 
@@ -256,76 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{sum(r.artifact['totals']['rows'] for r in results.values())} "
                 f"rows match the committed artifacts in {args.check_against!r}"
             )
-    if registry is not None:
-        manifest = registry.finalize(
-            args.run_name,
-            config={
-                "experiments": list(ids),
-                "sizes": list(args.sizes) if args.sizes else None,
-                "workload": args.workload,
-                "seed": args.seed or 0,
-                "no_audit": bool(args.no_audit),
-                "repeat": args.repeat,
-            },
-            artifacts=[
-                os.path.basename(r.path) for r in results.values() if r.path
-            ],
-        )
-        if echo:
-            echo(
-                f"[repro.bench] recorded run {args.run_name!r} "
-                f"({len(manifest['artifacts'])} artifacts, "
-                f"commit {manifest['git']['commit'][:12]})"
-            )
-        if args.trend_check:
-            return _trend_check(registry, args, echo)
-    return 0
-
-
-def _trend_check(registry, args, echo) -> int:
-    """Compare the just-recorded run against the newest other run."""
-    from .runs import EXIT_TREND_REGRESSION, check_trend, load_run
-
-    baseline_name = registry.latest_run(excluding=args.run_name)
-    if baseline_name is None:
-        if echo:
-            echo(
-                f"[repro.bench] trend check: no earlier run in "
-                f"{args.runs_dir!r}; nothing to compare"
-            )
-        return 0
-    try:
-        report = check_trend(
-            load_run(registry.run_dir(args.run_name)),
-            load_run(registry.run_dir(baseline_name)),
-            tolerance=args.trend_tolerance,
-        )
-    except (OSError, ValueError, KeyError) as err:
-        print(f"error: trend check failed to load runs: {err}", file=sys.stderr)
-        return 2
-    if report.compared == 0:
-        print(
-            f"error: trend check found no comparable rows between "
-            f"{args.run_name!r} and baseline {baseline_name!r}",
-            file=sys.stderr,
-        )
-        return 2
-    for problem in report.regressions:
-        print(f"regression: {problem}", file=sys.stderr)
-    if report.regressions:
-        print(
-            f"error: {len(report.regressions)} trend regression(s) vs "
-            f"baseline run {baseline_name!r} "
-            f"(tolerance {args.trend_tolerance:g})",
-            file=sys.stderr,
-        )
-        return EXIT_TREND_REGRESSION
-    if echo:
-        echo(
-            f"[repro.bench] trend ok: {report.compared} comparisons vs "
-            f"baseline {baseline_name!r} within tolerance "
-            f"{args.trend_tolerance:g}"
-        )
     return 0
 
 

@@ -92,24 +92,30 @@ def _render_e10(rows: List[Row], config: SweepConfig) -> List[str]:
     return [render_table(rows, title="E10 (ablation): CRCW winner policy")]
 
 
+def _carried(rows: List[Row], columns: List[str]) -> List[str]:
+    """The `columns` some row carries: an artifact's rows have no host
+    timings or batching outcomes, the printed ones do."""
+    return [c for c in columns if any(c in row for row in rows)]
+
+
 def _render_scaling(rows: List[Row], config: SweepConfig) -> List[str]:
     workload = config.workload or "mixed"
-    wide = pivot(rows, "n", "algorithm", "wall_seconds")
-    return [
-        render_table(rows, columns=[
-            "algorithm", "n", "wall_seconds", "ns_per_node", "time", "work",
-            "charged_work", "work/n", "charged/(n lg lg n)"],
-            title=f"Scaling: wall-clock vs charged cost, workload={workload}"),
-        render_table(wide, title="Scaling pivot: wall seconds by algorithm"),
-    ]
+    tables = [render_table(rows, columns=_carried(rows, [
+        "algorithm", "n", "wall_seconds", "ns_per_node", "time", "work",
+        "charged_work", "work/n", "charged/(n lg lg n)"]),
+        title=f"Scaling: wall-clock vs charged cost, workload={workload}")]
+    if _carried(rows, ["wall_seconds"]):
+        tables.append(render_table(pivot(rows, "n", "algorithm", "wall_seconds"),
+                                   title="Scaling pivot: wall seconds by algorithm"))
+    return tables
 
 
 def _render_serving(rows: List[Row], config: SweepConfig) -> List[str]:
-    return [render_table(rows, columns=[
+    return [render_table(rows, columns=_carried(rows, [
         "n", "transport", "replica_mode", "chaos_proxy", "workers", "requests",
         "completed", "batches", "multi_batches", "mean_occupancy",
         "throughput_rps", "p50_ms", "p95_ms", "p99_ms", "time", "work",
-        "charged_work"],
+        "charged_work"]),
         title="Serving: micro-batched service throughput/latency "
               "(in-process vs loopback HTTP/framed vs process replicas "
               "vs chaos-proxied framed)")]

@@ -4,9 +4,12 @@
 :class:`~repro.bench.config.SweepConfig` cells against the experiment
 registry, measures host wall-clock per cell, renders the experiment tables
 (the ones EXPERIMENTS.md records) and emits one schema-versioned
-``BENCH_E*.json`` artifact per experiment.  The ``python -m repro.bench``
-CLI is a thin client of this class, so the printed tables and the
-persisted perf trajectory always agree.
+``BENCH_E*.json`` artifact per experiment.  The printed tables show every
+column a run measured; the artifact, and the tables rendered into it,
+keep only what a re-run reproduces (:func:`~repro.bench.artifacts.facts`).
+Host speed is compared by ``python -m repro.bench.ab``, never across
+committed artifacts.  The ``python -m repro.bench`` CLI is a thin client
+of this class.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .artifacts import build_artifact, write_artifact
+from .artifacts import build_artifact, facts, write_artifact
 from .config import SweepConfig
 from .registry import get_experiment
 
@@ -39,32 +42,24 @@ def _render_config(cells: Sequence["CellResult"]) -> SweepConfig:
 
 @dataclass
 class CellResult:
-    """Outcome of one executed sweep cell.
-
-    ``repeat`` records how many times the cell was executed for its
-    best-of-N ``wall_seconds`` figure (charged totals are deterministic
-    per config, so only the host timing varies between repeats).
-    """
+    """Outcome of one executed sweep cell."""
 
     config: SweepConfig
     rows: List[Row]
-    wall_seconds: float
     fingerprint: str
-    repeat: int = 1
 
     def as_dict(self) -> Dict[str, object]:
+        """The cell as an artifact holds it: rows reduced to their facts."""
         return {
             "config": self.config.as_dict(),
             "fingerprint": self.fingerprint,
-            "rows": self.rows,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "repeat": self.repeat,
+            "rows": [facts(row) for row in self.rows],
         }
 
 
 @dataclass
 class ExperimentResult:
-    """All cells of one experiment plus the rendered tables and artifact."""
+    """All cells of one experiment plus the printed tables and the artifact."""
 
     experiment: str
     title: str
@@ -90,12 +85,6 @@ class BenchmarkRunner:
     echo:
         Callable invoked with progress lines and rendered tables
         (e.g. ``print``); ``None`` keeps the runner silent.
-    repeat:
-        Execute every cell this many times and keep the best (minimum)
-        wall-clock sample — committed ``wall_seconds`` columns become far
-        less hostage to single-sample scheduler noise.  The rows of the
-        best run are kept; the repeat count is recorded in the artifact
-        cell so readers know what the figure is.
     """
 
     def __init__(
@@ -103,48 +92,23 @@ class BenchmarkRunner:
         out_dir: Optional[str] = None,
         *,
         echo: Optional[Callable[[str], None]] = None,
-        repeat: int = 1,
     ) -> None:
-        if repeat < 1:
-            raise ValueError("repeat must be a positive integer")
         self.out_dir = out_dir
         self.echo = echo
-        self.repeat = int(repeat)
 
     def _say(self, message: str) -> None:
         if self.echo is not None:
             self.echo(message)
 
     def run_cell(self, config: SweepConfig) -> CellResult:
-        """Execute one sweep cell, measuring best-of-``repeat`` wall-clock."""
+        """Execute one sweep cell, measuring its wall-clock."""
         spec = get_experiment(config.experiment)
         self._say(f"[repro.bench] running {spec.id}: {spec.title}")
-        best_rows: Optional[List[Row]] = None
-        best_elapsed = float("inf")
-        for attempt in range(self.repeat):
-            start = time.perf_counter()
-            rows = spec.run(config)
-            elapsed = time.perf_counter() - start
-            if elapsed < best_elapsed:
-                best_rows, best_elapsed = rows, elapsed
-            if self.repeat > 1:
-                self._say(
-                    f"[repro.bench] {spec.id} repeat {attempt + 1}/{self.repeat}: "
-                    f"{elapsed:.3f}s"
-                )
-        assert best_rows is not None
-        self._say(
-            f"[repro.bench] {spec.id} cell done in {best_elapsed:.3f}s "
-            f"({len(best_rows)} rows"
-            + (f", best of {self.repeat})" if self.repeat > 1 else ")")
-        )
-        return CellResult(
-            config=config,
-            rows=best_rows,
-            wall_seconds=best_elapsed,
-            fingerprint=config.fingerprint(),
-            repeat=self.repeat,
-        )
+        start = time.perf_counter()
+        rows = spec.run(config)
+        elapsed = time.perf_counter() - start
+        self._say(f"[repro.bench] {spec.id} cell done in {elapsed:.3f}s ({len(rows)} rows)")
+        return CellResult(config=config, rows=rows, fingerprint=config.fingerprint())
 
     def run_experiment(self, configs: Sequence[SweepConfig]) -> ExperimentResult:
         """Run every cell of one experiment and assemble its artifact.
@@ -160,13 +124,14 @@ class BenchmarkRunner:
             raise ValueError(f"configs target several experiments: {sorted(ids)}")
         spec = get_experiment(configs[0].experiment)
         cells = [self.run_cell(config) for config in configs]
-        combined = [row for cell in cells for row in cell.rows]
-        tables = spec.render(combined, _render_config(cells))
+        config = _render_config(cells)
+        tables = spec.render([row for cell in cells for row in cell.rows], config)
+        written = [cell.as_dict() for cell in cells]
         artifact = build_artifact(
             experiment_id=spec.id,
             title=spec.title,
-            cells=[cell.as_dict() for cell in cells],
-            tables=tables,
+            cells=written,
+            tables=spec.render([row for cell in written for row in cell["rows"]], config),
         )
         result = ExperimentResult(
             experiment=spec.id,

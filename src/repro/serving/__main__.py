@@ -79,11 +79,13 @@ METRICS_SCHEMA_VERSION = 1
 #: ``serve`` can tell a flag given from one left out.
 _DEFAULTS = dict(algorithm="jaja-ryu", seed=0, workers=4, queue_capacity=1024,
                  batch_size=32, batch_delay_ms=2.0, replicas=1, min_replicas=1,
-                 max_replicas=8, scale_interval=0.25)
-#: ``serve`` flags only ``--replicas auto`` reads, and flags a remote fleet
-#: (built from its host addresses alone) never reads.
+                 max_replicas=8, scale_interval=0.25, heartbeat_interval=0.05)
+#: ``serve`` flags only ``--replicas auto`` reads, flags a remote fleet
+#: (built from its host addresses alone) never reads, and flags only
+#: replica processes (``--processes``) or a remote fleet read.
 _AUTO_FLAGS = ("min_replicas", "max_replicas", "slo_p99_ms", "scale_interval")
 _LOCAL_FLAGS = ("workers", "batch_size", "batch_delay_ms", "queue_capacity", "algorithm", "seed")
+_SUPERVISED_FLAGS = ("heartbeat_interval", "heartbeat_timeout", "auth_secret")
 
 
 def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(crash-restarted, jobs re-homed) instead of in-process",
     )
     serve.add_argument(
-        "--heartbeat-interval", type=_positive(float), default=0.05, metavar="SECONDS",
+        "--heartbeat-interval", type=_positive(float), default=None, metavar="SECONDS",
         help="replica wire-heartbeat period for --processes/--remote (default 0.05)",
     )
     serve.add_argument(
@@ -200,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--supervisor-log", default=None, metavar="PATH",
-        help="append replica-pool lifecycle and scale events as JSON lines to PATH",
+        help="append replica-pool lifecycle and scale events as JSON lines to PATH "
+             "(--replicas above 1 or auto, --processes or --remote)",
     )
     serve.add_argument(
         "--remote", type=_address, action="append", default=None, metavar="HOST:PORT",
@@ -211,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file with {\"replicas\": [\"host:port\", ...]} to extend --remote",
     )
     serve.add_argument(
-        "--auth-secret", default=secret, metavar="SECRET",
+        "--auth-secret", default=None, metavar="SECRET",
         help="framed shared secret presented when dialing each remote host, "
              "or required of and presented to the --processes workers "
-             "(env REPRO_AUTH_SECRET also works)",
+             "(env REPRO_AUTH_SECRET also works); the front end itself "
+             "asks no secret",
     )
 
     worker = _mode(modes, "worker", cmd_worker, [ingress],
@@ -395,9 +399,15 @@ def cmd_serve(args, say) -> int:
     if remote_addresses:
         unread += [(f, "is not read by a --remote/--remote-config fleet")
                    for f in _LOCAL_FLAGS + (() if auto else ("replicas",))]
+    if not (remote_addresses or args.processes):
+        unread += [(f, "is read only with --processes or --remote") for f in _SUPERVISED_FLAGS]
+        if not (auto or args.replicas > 1):
+            unread.append(("supervisor_log", "is read only with --replicas above 1 "
+                                             "or auto, --processes or --remote"))
     for flag, why in unread:
         if flag in args.given:
             return _refuse(f"--{flag.replace('_', '-')} {why}")
+    secret = args.auth_secret or os.environ.get("REPRO_AUTH_SECRET") or None
     if remote_addresses and args.processes:
         return _refuse("--processes cannot be combined with --remote or "
                        "--remote-config: remote hosts run their own processes")
@@ -425,7 +435,7 @@ def cmd_serve(args, say) -> int:
             remote_addresses,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            auth_secret=args.auth_secret or None,
+            auth_secret=secret,
             event_log=args.supervisor_log,
         ).start()
         say(f"[repro.serving] remote fleet: {backend.num_replicas} host(s) "
@@ -438,7 +448,7 @@ def cmd_serve(args, say) -> int:
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             event_log=args.supervisor_log,
-            auth_secret=args.auth_secret or None,
+            auth_secret=secret,
         ).start()
         say(f"[repro.serving] replica supervisor: {backend.num_replicas} "
             f"process(es) x {args.workers} worker(s)")
@@ -691,7 +701,8 @@ def _report(args, say, report) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args.given = {k for k in (*_DEFAULTS, "slo_p99_ms") if getattr(args, k, None) is not None}
+    args.given = {k for k in (*_DEFAULTS, "slo_p99_ms", "heartbeat_timeout", "supervisor_log",
+                              "auth_secret") if getattr(args, k, None) is not None}
     for key, value in _DEFAULTS.items():
         if getattr(args, key, value) is None:
             setattr(args, key, value)

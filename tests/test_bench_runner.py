@@ -8,6 +8,7 @@ from repro.bench import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     BenchmarkRunner,
+    CellResult,
     SweepConfig,
     artifact_filename,
     experiment_ids,
@@ -72,7 +73,8 @@ def test_runner_writes_schema_versioned_artifact(tmp_path):
     assert document["totals"]["work"] > 0 and document["totals"]["rows"] == len(result.rows)
     cell = document["cells"][0]
     assert cell["fingerprint"] == SweepConfig.from_dict(cell["config"]).fingerprint()
-    assert cell["wall_seconds"] > 0
+    assert set(cell) == {"config", "fingerprint", "rows"}
+    assert set(document["totals"]) == {"time", "work", "charged_work", "rows"}
     assert any("E1 (Table 1)" in table for table in document["tables"])
 
 
@@ -184,8 +186,8 @@ def test_multi_workload_cells_are_labelled_with_every_workload():
 # ----------------------------------------------------------------------
 # scaling experiment, --profile, --check-against (engine-overhaul PR)
 # ----------------------------------------------------------------------
-def test_scaling_experiment_rows_carry_wall_clock():
-    runner = BenchmarkRunner()
+def test_scaling_experiment_rows_carry_wall_clock(tmp_path):
+    runner = BenchmarkRunner(out_dir=str(tmp_path))
     result = runner.run_experiment([
         SweepConfig("scaling", sizes=(64, 256), workload="mixed", seed=0)
     ])
@@ -196,6 +198,13 @@ def test_scaling_experiment_rows_carry_wall_clock():
         assert row["ns_per_node"] > 0
         assert row["charged_work"] >= row["n"] or row["algorithm"] == "paige-tarjan-bonic"
     assert any("Scaling" in table for table in result.tables)
+    assert any("ns_per_node" in table for table in result.tables)
+    # the written artifact carries no timing: not in a row, a total or a table
+    text = (tmp_path / "BENCH_SCALING.json").read_text()
+    assert "wall_seconds" not in text and "ns_per_node" not in text
+    written = load_artifact(str(tmp_path / "BENCH_SCALING.json"))
+    assert [r["charged_work"] for c in written["cells"] for r in c["rows"]] == [
+        r["charged_work"] for r in result.rows]
 
 
 def test_cli_profile_writes_span_report(tmp_path):
@@ -265,6 +274,40 @@ def test_bare_check_against_passes_on_the_committed_artifacts(tmp_path, capsys):
         fresh = load_artifact(str(tmp_path / artifact_filename(document["experiment"])))
         assert [c["fingerprint"] for c in fresh["cells"]] == [
             c["fingerprint"] for c in document["cells"]]
+        # and a refresh rewrites what is committed: a second one leaves no diff
+        document.pop("capacity_model", None)  # written only by `load --bench-out`
+        assert fresh == document
+
+
+#: What a re-run measures anew, and how a served run's requests happened
+#: to coalesce: printed, never written.
+HOST_TIMINGS_AND_BATCHING = frozenset({
+    "wall_seconds", "repeat", "ns_per_node", "throughput_rps", "p50_ms", "p95_ms",
+    "p99_ms", "batches", "multi_batches", "mean_occupancy", "max_occupancy"})
+
+
+def test_committed_artifacts_hold_no_host_timing_or_batching_outcome():
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    for path in sorted(REPO.glob("BENCH_*.json")):
+        document = load_artifact(str(path))
+        document.pop("capacity_model", None)  # written only by `load --bench-out`
+        assert HOST_TIMINGS_AND_BATCHING.isdisjoint(keys(document)), path.name
+        assert not [key for key in HOST_TIMINGS_AND_BATCHING
+                    for table in document["tables"] if key in table], path.name
+        assert set(document["totals"]) == {"time", "work", "charged_work", "rows"}
+        assert all(set(cell) == {"config", "fingerprint", "rows"} for cell in document["cells"])
+        if document["experiment"] == "serving":
+            # a served row's charged totals follow its batching
+            assert document["totals"] == {"time": 0, "work": 0, "charged_work": 0,
+                                          "rows": document["totals"]["rows"]}
 
 
 @pytest.mark.parametrize("experiment, match, column, change, write", [
@@ -315,45 +358,45 @@ def test_check_against_without_sizes_catches_a_planted_charge_change(monkeypatch
     assert "e1: " in capsys.readouterr().err
 
 
-def test_compare_charged_totals_treats_batch_outcomes_as_outcomes():
-    from repro.bench.artifacts import compare_charged_totals
+def test_a_served_row_is_written_without_its_batching_timings_and_charges():
+    from repro.bench.artifacts import build_artifact, compare_charged_totals
 
     def doc(batches, work, completed=64):
-        return {
-            "experiment": "serving",
-            "cells": [{
-                "fingerprint": "sha256:s",
-                "rows": [{"n": 128, "transport": "http", "completed": completed,
-                          "batches": batches, "multi_batches": batches // 2,
-                          "max_occupancy": 64 // batches, "mean_occupancy": 64 / batches,
-                          "time": 10 * batches, "work": work, "charged_work": work}],
-            }],
-        }
+        row = {"n": 128, "transport": "http", "completed": completed,
+               "batches": batches, "multi_batches": batches // 2,
+               "max_occupancy": 64 // batches, "mean_occupancy": 64 / batches,
+               "p99_ms": 3.0 * batches, "time": 10 * batches, "work": work,
+               "charged_work": work}
+        cell = CellResult(SweepConfig("serving", sizes=(128,)), [row], "sha256:s")
+        return build_artifact(experiment_id="serving", title="t",
+                              cells=[cell.as_dict()], tables=[])
 
-    # the batching, and the charged totals that follow it, may differ
-    assert compare_charged_totals(doc(4, 900), doc(27, 1000)) == []
+    written = doc(4, 900)
+    assert written["cells"][0]["rows"] == [{"n": 128, "transport": "http", "completed": 64}]
+    assert written["totals"] == {"time": 0, "work": 0, "charged_work": 0, "rows": 1}
+    # two batchings of one cell write the same artifact
+    assert doc(27, 1000) == written and compare_charged_totals(doc(27, 1000), written) == []
     # a request that did not complete leaves the row without a counterpart
-    problems = compare_charged_totals(doc(4, 900, completed=63), doc(27, 1000))
+    problems = compare_charged_totals(doc(4, 900, completed=63), written)
     assert problems and "no committed counterpart" in problems[0]
 
 
 def test_compare_charged_totals_matches_rows_by_identity():
     from repro.bench.artifacts import compare_charged_totals
 
-    def doc(work, wall):
+    def doc(work, ratio):
         return {
             "experiment": "e1",
             "cells": [{
                 "fingerprint": "sha256:x",
                 "rows": [{"algorithm": "a", "n": 64, "time": 2, "work": work,
-                          "charged_work": work, "work/n": work / 64,
-                          "wall_seconds": wall}],
+                          "charged_work": work, "work/n": ratio}],
             }],
         }
 
-    # wall-clock and derived ratios may move freely; charged totals may not
-    assert compare_charged_totals(doc(100, 0.5), doc(100, 9.9)) == []
-    problems = compare_charged_totals(doc(101, 0.5), doc(100, 0.5))
+    # derived ratios may move freely; charged totals may not
+    assert compare_charged_totals(doc(100, 1.5), doc(100, 9.9)) == []
+    problems = compare_charged_totals(doc(101, 1.5), doc(100, 1.5))
     assert problems and any("work changed 100 -> 101" in p for p in problems)
     mismatch = compare_charged_totals(
         {"experiment": "e1", "cells": []}, {"experiment": "e2", "cells": []}
@@ -361,41 +404,18 @@ def test_compare_charged_totals_matches_rows_by_identity():
     assert "experiment mismatch" in mismatch[0]
 
 
-# ----------------------------------------------------------------------
-# --repeat (best-of-N wall clock)
-# ----------------------------------------------------------------------
-def test_runner_repeat_records_count_and_keeps_charged_totals(tmp_path):
-    config = SweepConfig("e1", sizes=(64,), workload="mixed")
-    once = BenchmarkRunner().run_cell(config)
-    thrice = BenchmarkRunner(repeat=3).run_cell(config)
-    assert once.repeat == 1 and once.as_dict()["repeat"] == 1
-    assert thrice.repeat == 3 and thrice.as_dict()["repeat"] == 3
-    # charged totals are deterministic — repeats change only wall-clock
-    def totals(cell):
-        return [(r["algorithm"], r["time"], r["work"], r["charged_work"]) for r in cell.rows]
-
-    assert totals(once) == totals(thrice)
-    assert thrice.fingerprint == once.fingerprint
-
-
-def test_runner_rejects_nonpositive_repeat():
-    with pytest.raises(ValueError):
-        BenchmarkRunner(repeat=0)
-
-
-def test_cli_repeat_is_recorded_in_artifact_cells(tmp_path):
-    rc = bench_main(["-e", "e1", "-n", "64", "--repeat", "2", "-o", str(tmp_path), "-q"])
-    assert rc == 0
-    document = load_artifact(str(tmp_path / "BENCH_E1.json"))
-    assert document["cells"][0]["repeat"] == 2
-
-
-def test_cli_rejects_unknown_kernel(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [
     # integer sorts have one host realisation, so there is no kernel to pick
+    ["--kernel", "argsort"],
+    # host speed is the A/B's (python -m repro.bench.ab), not the artifacts'
+    ["--repeat", "2"], ["--run-name", "x"], ["--runs-dir", "r"], ["--trend-check"],
+    ["--trend-tolerance", "3"],
+], ids=lambda flag: flag[0])
+def test_cli_rejects_retired_flags(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as info:
-        bench_main(["-e", "e1", "-n", "64", "--kernel", "argsort", "-o", str(tmp_path), "-q"])
+        bench_main(["-e", "e1", "-n", "64", *flag, "-o", str(tmp_path), "-q"])
     assert info.value.code == 2
-    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_cli_profile_reports_per_kernel_rows(tmp_path):

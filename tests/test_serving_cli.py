@@ -138,6 +138,16 @@ def test_a_flag_this_mode_does_not_read_exits_2(argv, capsys):
         ("--replicas", "2")]],
     (["serve", "--remote-config", "{fleet}", "--replicas", "auto", "--workers", "2"],
      "--workers"),
+    # serve flags that only replica pools, processes or a remote fleet read
+    (["serve", "--supervisor-log", "{log}"], "--supervisor-log"),
+    (["serve", "--replicas", "1", "--supervisor-log", "{log}"], "--supervisor-log"),
+    (["serve", "--heartbeat-interval", "0.1"], "--heartbeat-interval"),
+    (["serve", "--replicas", "2", "--heartbeat-timeout", "2"], "--heartbeat-timeout"),
+    (["serve", "--replicas", "auto", "--heartbeat-interval", "0.5",
+      "--heartbeat-timeout", "0.2"], "--heartbeat-interval"),
+    # the front end asks no secret: one given would protect nothing
+    (["serve", "--auth-secret", "s3cret"], "--auth-secret"),
+    (["serve", "--replicas", "auto", "--auth-secret", "s3cret"], "--auth-secret"),
 ])
 def test_configuration_errors_exit_2_naming_the_flag(argv, flag, tmp_path,
                                                      monkeypatch, capsys):
@@ -148,7 +158,7 @@ def test_configuration_errors_exit_2_naming_the_flag(argv, flag, tmp_path,
                  "RemoteReplicaFleet", "FramedIngress", "ChaosTcpProxy",
                  "run_capacity_sweep", "run_load"):
         monkeypatch.setattr(cli, name, forbidden)
-    files = {"missing": tmp_path / "missing.json"}
+    files = {"missing": tmp_path / "missing.json", "log": tmp_path / "events.jsonl"}
     for name, document in [("not_json", "{"),
                            ("not_a_list", json.dumps({"replicas": "h:1"})),
                            ("bad_address", json.dumps({"replicas": ["h:1", "h"]})),
@@ -169,12 +179,55 @@ def test_serve_keeps_its_defaults_and_reads_auto_flags_under_auto(monkeypatch):
         built.append((args, kwargs))
         raise SystemExit(0)  # stop before anything binds
 
-    for name in ("SolveService", "ReplicaSet", "RemoteReplicaFleet"):
+    for name in ("SolveService", "ReplicaSet", "RemoteReplicaFleet", "ReplicaSupervisor"):
         monkeypatch.setattr(cli, name, backend)
+    # a secret in the environment starts every mode; the supervised ones read it
+    monkeypatch.setenv("REPRO_AUTH_SECRET", "from-env")
     for argv in (["serve"], ["serve", "--replicas", "auto", "--min-replicas", "2"],
-                 ["serve", "--remote", "127.0.0.1:1", "--replicas", "auto", "--max-replicas", "1"]):
+                 ["serve", "--remote", "127.0.0.1:1", "--replicas", "auto", "--max-replicas", "1"],
+                 ["serve", "--processes"]):
         assert _exit_code(argv) == 0
     service = dict(seed=0, workers=4, max_batch_size=32, max_batch_delay=0.002,
                    queue_capacity=1024, default_algorithm="jaja-ryu")
     assert built[:2] == [((), service), ((2,), dict(event_log=None, **service))]
     assert built[2][0] == (["127.0.0.1:1"],)
+    for _, kwargs in built[2:]:
+        assert kwargs["auth_secret"] == "from-env" and kwargs["heartbeat_interval"] == 0.05
+
+
+#: The flags only replica pools, processes or a remote fleet read, and
+#: what each of those modes must pass its backend.
+SUPERVISED = ["--supervisor-log", "{log}", "--heartbeat-interval", "0.1",
+              "--heartbeat-timeout", "1", "--auth-secret", "s3cret"]
+SUPERVISED_KWARGS = dict(event_log="{log}", heartbeat_interval=0.1,
+                         heartbeat_timeout=1.0, auth_secret="s3cret")
+
+
+@pytest.mark.parametrize("argv, backend, expected", [
+    (["serve", "--replicas", "2", "--supervisor-log", "{log}"], "ReplicaSet",
+     dict(event_log="{log}")),
+    (["serve", "--replicas", "auto", "--supervisor-log", "{log}"], "ReplicaSet",
+     dict(event_log="{log}")),
+    (["serve", "--processes", *SUPERVISED], "ReplicaSupervisor", SUPERVISED_KWARGS),
+    (["serve", "--remote", "127.0.0.1:1", *SUPERVISED], "RemoteReplicaFleet",
+     SUPERVISED_KWARGS),
+], ids=["replicas-2", "replicas-auto", "processes", "remote"])
+def test_the_modes_that_read_a_supervised_flag_pass_it_on(argv, backend, expected,
+                                                          tmp_path, monkeypatch):
+    built = []
+
+    def recorder(name):
+        def build(*args, **kwargs):
+            built.append((name, kwargs))
+            raise SystemExit(0)  # stop before anything binds
+        return build
+
+    for name in ("SolveService", "ReplicaSet", "ReplicaSupervisor", "RemoteReplicaFleet"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    monkeypatch.delenv("REPRO_AUTH_SECRET", raising=False)
+    log = str(tmp_path / "events.jsonl")
+    assert _exit_code([arg.format(log=log) for arg in argv]) == 0
+    ((name, kwargs),) = built
+    assert name == backend
+    for key, value in expected.items():
+        assert kwargs[key] == (value.format(log=log) if isinstance(value, str) else value)
